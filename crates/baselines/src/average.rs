@@ -2,7 +2,7 @@
 //! the prediction is the mean historical gap at that slot over the
 //! training days.
 
-use deepsd_features::{FeatureExtractor, ItemKey};
+use deepsd_features::{ItemKey, ItemSource};
 use std::collections::HashMap;
 
 /// Empirical-average gap predictor.
@@ -16,7 +16,7 @@ pub struct EmpiricalAverage {
 impl EmpiricalAverage {
     /// Fits the averages from training keys (gaps come from the
     /// extractor's ground truth).
-    pub fn fit(extractor: &FeatureExtractor<'_>, keys: &[ItemKey]) -> Self {
+    pub fn fit(extractor: &mut impl ItemSource, keys: &[ItemKey]) -> Self {
         assert!(!keys.is_empty(), "no training keys");
         let mut slot_sum: HashMap<(u16, u16), (f64, u32)> = HashMap::new();
         let mut area_sum: HashMap<u16, (f64, u32)> = HashMap::new();
@@ -69,7 +69,7 @@ mod tests {
     #[test]
     fn averages_match_manual_computation() {
         let ds = SimDataset::generate(&SimConfig::smoke(61));
-        let fx = FeatureExtractor::new(&ds, FeatureConfig::default());
+        let mut fx = FeatureExtractor::new(&ds, FeatureConfig::default());
         let keys: Vec<ItemKey> = (2..10)
             .map(|day| ItemKey {
                 area: 1,
@@ -77,7 +77,7 @@ mod tests {
                 t: 480,
             })
             .collect();
-        let avg = EmpiricalAverage::fit(&fx, &keys);
+        let avg = EmpiricalAverage::fit(&mut fx, &keys);
         let manual: f64 = keys.iter().map(|&k| fx.gap(k) as f64).sum::<f64>() / keys.len() as f64;
         let pred = avg.predict(ItemKey {
             area: 1,
@@ -90,13 +90,13 @@ mod tests {
     #[test]
     fn fallback_chain() {
         let ds = SimDataset::generate(&SimConfig::smoke(62));
-        let fx = FeatureExtractor::new(&ds, FeatureConfig::default());
+        let mut fx = FeatureExtractor::new(&ds, FeatureConfig::default());
         let keys = vec![ItemKey {
             area: 0,
             day: 3,
             t: 480,
         }];
-        let avg = EmpiricalAverage::fit(&fx, &keys);
+        let avg = EmpiricalAverage::fit(&mut fx, &keys);
         // Unseen slot of a seen area → area average == slot average here.
         let area_fallback = avg.predict(ItemKey {
             area: 0,
@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn predict_all_matches_predict() {
         let ds = SimDataset::generate(&SimConfig::smoke(63));
-        let fx = FeatureExtractor::new(&ds, FeatureConfig::default());
+        let mut fx = FeatureExtractor::new(&ds, FeatureConfig::default());
         let keys: Vec<ItemKey> = (0..6)
             .map(|a| ItemKey {
                 area: a,
@@ -131,7 +131,7 @@ mod tests {
                 t: 600,
             })
             .collect();
-        let avg = EmpiricalAverage::fit(&fx, &keys);
+        let avg = EmpiricalAverage::fit(&mut fx, &keys);
         let batch = avg.predict_all(&keys);
         for (i, &k) in keys.iter().enumerate() {
             assert_eq!(batch[i], avg.predict(k));

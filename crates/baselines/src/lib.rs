@@ -16,7 +16,7 @@
 //! ```
 //! use deepsd_baselines::features::tree_features;
 //! use deepsd_baselines::gbdt::{Gbdt, GbdtParams};
-//! use deepsd_features::{train_keys, FeatureConfig, FeatureExtractor};
+//! use deepsd_features::{train_keys, FeatureConfig, FeatureExtractor, ItemSource};
 //! use deepsd_simdata::{SimConfig, SimDataset};
 //!
 //! let ds = SimDataset::generate(&SimConfig::smoke(3));

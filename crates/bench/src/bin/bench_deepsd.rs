@@ -67,13 +67,9 @@ json_report! {
         cpu_features: Vec<String>,
         /// The microkernel path auto-dispatch resolves to on this host.
         kernel_path: String,
-        /// Whether the startup autotune sweep ran (`DEEPSD_TUNE=0` skips it).
-        autotuned: bool,
-        /// Autotune sweep cost in milliseconds (0 when skipped).
-        autotune_sweep_ms: f64,
-        /// Parallel block height in rows (autotuned or default).
+        /// Parallel block height in rows.
         tuned_mc: usize,
-        /// Reduction panel length (autotuned or default).
+        /// Reduction panel length.
         tuned_kc: usize,
         /// Multiply-add count below which GEMMs stay on the calling thread.
         tuned_par_flop_threshold: usize,
@@ -284,34 +280,13 @@ fn cpu_features() -> Vec<String> {
     features
 }
 
-/// Runs the startup autotune sweep (skipped by `DEEPSD_TUNE=0`; any
-/// other malformed value warns and tunes anyway) and snapshots the
-/// hardware context.
+/// Snapshots the hardware context and the GEMM blocking parameters.
 fn hardware_info() -> HardwareInfo {
-    let tune_enabled = match std::env::var("DEEPSD_TUNE") {
-        Err(_) => true,
-        Ok(v) if v == "0" => false,
-        Ok(v) if v == "1" => true,
-        Ok(v) => {
-            eprintln!("warning: ignoring DEEPSD_TUNE={v:?} (expected 0 or 1); tuning");
-            deepsd::telemetry::global().inc_counter("env_override_invalid_total");
-            true
-        }
-    };
-    let (autotuned, sweep_ms) = if tune_enabled {
-        let report = deepsd::tune();
-        (true, report.sweep_ms)
-    } else {
-        eprintln!("[kernels] DEEPSD_TUNE=0: keeping default block sizes");
-        (false, 0.0)
-    };
     let t = deepsd::tuning();
     HardwareInfo {
         cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
         cpu_features: cpu_features(),
         kernel_path: deepsd::kernel_path().as_str().to_string(),
-        autotuned,
-        autotune_sweep_ms: sweep_ms,
         tuned_mc: t.mc,
         tuned_kc: t.kc,
         tuned_par_flop_threshold: t.par_flop_threshold,

@@ -32,7 +32,7 @@ use deepsd::{
     ShadowTrainer, TrainOptions,
 };
 use deepsd_bench::{json_report, ToJson};
-use deepsd_features::{test_keys, train_keys, FeatureConfig, FeatureExtractor};
+use deepsd_features::{test_keys, train_keys, FeatureConfig, FeatureExtractor, ItemSource};
 use deepsd_serve::{ServeConfig, Server};
 use deepsd_simdata::{Order, OrderGenConfig, RegimeShift, SimConfig, SimDataset};
 use std::io::{Read, Write};

@@ -9,6 +9,7 @@ use deepsd::trainer::predict_items;
 use deepsd::Variant;
 use deepsd_baselines::{tree_features, Gbdt, GbdtParams};
 use deepsd_bench::{Pipeline, Report, Scale};
+use deepsd_features::ItemSource;
 
 fn main() {
     let scale = Scale::from_args();

@@ -27,7 +27,7 @@
 use deepsd::telemetry::Telemetry;
 use deepsd::{DeepSD, Handoff, OnlinePredictor, PromotedModel, Variant};
 use deepsd_bench::{json_report, run_load, LoadGenConfig, Pipeline, Scale, ToJson};
-use deepsd_features::{FeedHealth, FeedKind};
+use deepsd_features::{FeedHealth, FeedKind, ItemSource};
 use deepsd_serve::{ServeConfig, Server};
 use deepsd_simdata::NetFaultPlan;
 use std::io::{Read, Write};

@@ -11,6 +11,7 @@ use deepsd_baselines::{
 };
 use deepsd_bench::report::f2;
 use deepsd_bench::{Pipeline, Report, Scale};
+use deepsd_features::ItemSource;
 
 fn main() {
     let scale = Scale::from_args();
@@ -44,7 +45,7 @@ fn main() {
 
     // --- Empirical Average -------------------------------------------------
     eprintln!("[avg] fitting empirical average");
-    let avg = EmpiricalAverage::fit(&fx, &pipeline.train_keys);
+    let avg = EmpiricalAverage::fit(&mut fx, &pipeline.train_keys);
     let avg_pred = avg.predict_all(&pipeline.test_keys);
     let avg_eval = evaluate(&avg_pred, &truth);
 

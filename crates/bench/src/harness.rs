@@ -3,7 +3,9 @@
 
 use deepsd::trainer::{evaluate_model, train_ensemble};
 use deepsd::{DeepSD, Ensemble, ModelConfig, TrainOptions, TrainReport};
-use deepsd_features::{test_keys, train_keys, FeatureConfig, FeatureExtractor, Item, ItemKey};
+use deepsd_features::{
+    test_keys, train_keys, FeatureConfig, FeatureExtractor, Item, ItemKey, ItemSource,
+};
 use deepsd_simdata::{CityConfig, OrderGenConfig, SimConfig, SimDataset};
 use std::ops::Range;
 
@@ -296,16 +298,8 @@ impl Pipeline {
     }
 
     /// Pre-extracts the test items.
-    pub fn test_items(&self, extractor: &mut FeatureExtractor<'_>) -> Vec<Item> {
+    pub fn test_items(&self, extractor: &mut impl ItemSource) -> Vec<Item> {
         extractor.extract_all(&self.test_keys)
-    }
-
-    /// Ground-truth gaps of the test items.
-    pub fn test_gaps(&self, extractor: &FeatureExtractor<'_>) -> Vec<f32> {
-        self.test_keys
-            .iter()
-            .map(|&k| extractor.gap(k) as f32)
-            .collect()
     }
 
     /// A model config of the requested variant sized to this pipeline.
@@ -330,7 +324,7 @@ impl Pipeline {
         &self,
         label: &str,
         cfg: ModelConfig,
-        extractor: &mut FeatureExtractor<'_>,
+        extractor: &mut impl ItemSource,
         eval_items: &[Item],
     ) -> (Ensemble, TrainReport) {
         let mut model = DeepSD::new(cfg);

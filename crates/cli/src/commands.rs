@@ -8,13 +8,13 @@ use deepsd::{
 };
 use deepsd_baselines::EmpiricalAverage;
 use deepsd_features::{
-    test_keys, train_keys, FeatureConfig, FeatureExtractor, FeedHealth, FeedKind, IngestPolicy,
-    ItemKey, ItemSource, StreamingExtractor,
+    test_keys, train_keys, FeatureConfig, FeedHealth, FeedKind, IngestPolicy, ItemKey, ItemSource,
+    StreamingExtractor,
 };
 use deepsd_serve::{ServeConfig, Server};
 use deepsd_simdata::{
-    decode_dataset, AreaSource, ChunkReader, ChunkWriter, CityConfig, FaultPlan, Order,
-    OrderGenConfig, SimConfig, SimDataset, StreamGenerator,
+    AreaSource, ChunkReader, ChunkWriter, CityConfig, FaultPlan, Order, OrderGenConfig, SimConfig,
+    StreamGenerator,
 };
 use std::fs;
 
@@ -48,12 +48,12 @@ USAGE:
                       [--variant basic|advanced] [--env none|weather|full]
                       [--train-days 7..24] [--eval-days 24..38]
                       [--epochs 10] [--window 20] [--dropout 0.3]
-                      [--lr 0.001] [--best-k 4] [--threads 0] [--autotune 1]
+                      [--lr 0.001] [--best-k 4] [--threads 0]
                       [--max-resident-mb 0] [--metrics-out metrics.json]
   deepsd-cli evaluate --data data.dsd --model model.ckpt [--test-days 24..38]
-                      [--threads 0] [--autotune 1] [--metrics-out metrics.json]
+                      [--threads 0] [--metrics-out metrics.json]
   deepsd-cli predict  --data data.dsd --model model.ckpt --day 30 --t 480
-                      [--area 3] [--threads 0] [--autotune 1]
+                      [--area 3] [--threads 0]
                       [--max-resident-mb 0] [--metrics-out metrics.json]
                       [--ingest-policy reject|drop-late|reorder:<minutes>]
                       [--fault-shuffle 5] [--fault-drop 0.1] [--fault-dup 0.1]
@@ -63,7 +63,7 @@ USAGE:
                       [--queue 64] [--deadline-ms 500] [--read-timeout-ms 1000]
                       [--max-batch 64] [--breaker-trip 3] [--breaker-restore 2]
                       [--ingest-policy reject|drop-late|reorder:<minutes>]
-                      [--max-resident-mb 0] [--threads 0] [--autotune 1]
+                      [--max-resident-mb 0] [--threads 0]
                       [--metrics-out metrics.json]
                       [--continual 1] [--continual-window 36]
                       [--continual-cadence 512] [--continual-margin 0.01]
@@ -80,16 +80,14 @@ checkpoints; `evaluate`, `predict` and `serve` verify them on load
 (JSON and `DEEPSD-CKPT1` models from earlier versions no longer load).
 `simulate` writes the chunked `DEEPSD-DATA2` container, streamed area
 by area in bounded memory (whole-blob `DSD1` files from earlier
-versions no longer load). `train`, `predict`
-and `serve` stream chunked containers area by area instead of
-materialising the dataset; `--max-resident-mb` caps both the extractor's
+versions no longer load). Every command reads the container area by
+area instead of materialising the dataset; for `train`, `predict` and
+`serve`, `--max-resident-mb` caps both the extractor's
 per-area state and the trainer's item cache (0 = unbounded), trading
 extraction time for flat memory — results are bit-identical at any cap.
 `--threads` sets the worker-thread count for the parallel kernels, the
 training shard pool and batch scoring (0 = auto-detect); results are
-bit-identical at any thread count. `--autotune 1` runs a bounded startup
-sweep that picks the GEMM block sizes for this machine (tens of ms;
-blocking can only change speed, never result bits). `--metrics-out` writes a telemetry
+bit-identical at any thread count. `--metrics-out` writes a telemetry
 JSON snapshot (counters, gauges, latency histograms, per-epoch training
 events) next to the command's normal output. `serve --continual 1` runs
 online continual learning: a background shadow copy of the model
@@ -103,24 +101,10 @@ regime shift at day N for drift drills (pre-shift days stay
 byte-identical to an unshifted run).
 ";
 
-/// Applies the shared performance flags: `--threads N` caps kernel and
-/// shard-pool workers, `--autotune 1` runs the startup GEMM block-size
-/// sweep ([`deepsd::tune`]). Off by default: the sweep costs tens of
-/// milliseconds and its outcome is machine-dependent, but it can only
-/// move throughput — results are bit-identical under any tuning.
+/// Applies the shared `--threads N` flag: caps kernel and shard-pool
+/// workers (results are bit-identical at any count).
 fn apply_perf_flags(args: &Args) -> CmdResult {
     deepsd::set_num_threads(args.get_or("threads", 0usize)?);
-    if args.get_or("autotune", 0u8)? != 0 {
-        let report = deepsd::tune();
-        eprintln!(
-            "[autotune] kernel path {}: mc={} kc={} par_flop_threshold={} (sweep {:.1} ms)",
-            deepsd::kernel_path(),
-            report.tuning.mc,
-            report.tuning.kc,
-            report.tuning.par_flop_threshold,
-            report.sweep_ms,
-        );
-    }
     Ok(())
 }
 
@@ -197,12 +181,6 @@ pub fn simulate(args: &Args) -> CmdResult {
     Ok(())
 }
 
-fn load_dataset(args: &Args) -> Result<SimDataset, Box<dyn std::error::Error>> {
-    let path = args.require("data")?;
-    let blob = fs::read(path)?;
-    Ok(decode_dataset(&blob)?)
-}
-
 /// Opens `--data` as a bounded-memory [`AreaSource`]: the container is
 /// read lazily chunk by chunk, checksums verified on every read.
 fn open_area_source(
@@ -212,26 +190,33 @@ fn open_area_source(
     Ok(ChunkReader::open(std::io::BufReader::new(file))?)
 }
 
-/// `inspect`: print a dataset summary.
+/// `inspect`: print a dataset summary, reading one area chunk at a
+/// time.
 pub fn inspect(args: &Args) -> CmdResult {
     args.check_known(&["data"])?;
-    let ds = load_dataset(args)?;
-    println!("areas: {}", ds.n_areas());
-    println!("days:  {}", ds.n_days);
+    let mut source = open_area_source(args)?;
+    let mut per_area = Vec::with_capacity(source.n_areas());
+    let mut invalid = 0usize;
+    for area in 0..source.n_areas() as u16 {
+        let orders = source.read_area(area)?.orders;
+        invalid += orders.iter().filter(|o| !o.valid).count();
+        per_area.push(orders.len());
+    }
+    let total: usize = per_area.iter().sum();
+    println!("areas: {}", source.n_areas());
+    println!("days:  {}", source.n_days());
     println!(
-        "orders: {} ({} unanswered, {:.1}%)",
-        ds.total_orders(),
-        ds.total_invalid(),
-        100.0 * ds.total_invalid() as f64 / ds.total_orders().max(1) as f64
+        "orders: {total} ({invalid} unanswered, {:.1}%)",
+        100.0 * invalid as f64 / total.max(1) as f64
     );
     println!("\narea  archetype        demand_scale  orders");
-    for area in &ds.city.areas {
+    for (area, orders) in source.city().areas.iter().zip(per_area) {
         println!(
             "{:>4}  {:<15} {:>12.2} {:>8}",
             area.id,
             format!("{:?}", area.archetype),
             area.demand_scale,
-            ds.orders(area.id).len()
+            orders
         );
     }
     Ok(())
@@ -263,7 +248,6 @@ pub fn train_cmd(args: &Args) -> CmdResult {
         "history-window",
         "stride",
         "threads",
-        "autotune",
         "max-resident-mb",
         "metrics-out",
     ])?;
@@ -377,21 +361,19 @@ pub fn evaluate(args: &Args) -> CmdResult {
         "history-window",
         "stride",
         "threads",
-        "autotune",
         "metrics-out",
     ])?;
     apply_perf_flags(args)?;
-    let ds = load_dataset(args)?;
+    let source = open_area_source(args)?;
+    let n_days = source.n_days();
+    let n_areas = source.n_areas() as u16;
     let model = load_model(args)?;
     let mut fcfg = feature_config(args)?;
     fcfg.window_l = model.config().window_l;
-    let test_days = args.get_range(
-        "test-days",
-        (ds.n_days.saturating_sub(14)).max(1)..ds.n_days,
-    )?;
+    let test_days = args.get_range("test-days", (n_days.saturating_sub(14)).max(1)..n_days)?;
 
-    let mut fx = FeatureExtractor::new(&ds, fcfg.clone());
-    let te = test_keys(ds.n_areas() as u16, test_days.clone(), &fcfg);
+    let mut fx = StreamingExtractor::new(source, fcfg.clone());
+    let te = test_keys(n_areas, test_days.clone(), &fcfg);
     let items = fx.extract_all(&te);
     if items.is_empty() {
         // Reachable with a degenerate --test-days range; a typed error
@@ -404,11 +386,11 @@ pub fn evaluate(args: &Args) -> CmdResult {
 
     // Context baseline: empirical average fitted on the preceding days.
     let warmup = 0..test_days.start;
-    let avg_keys: Vec<ItemKey> = train_keys(ds.n_areas() as u16, warmup, &fcfg);
+    let avg_keys: Vec<ItemKey> = train_keys(n_areas, warmup, &fcfg);
     println!("test items: {} (days {test_days:?})", eval.n);
     println!("model     MAE {:.3}  RMSE {:.3}", eval.mae, eval.rmse);
     if !avg_keys.is_empty() {
-        let avg = EmpiricalAverage::fit(&fx, &avg_keys);
+        let avg = EmpiricalAverage::fit(&mut fx, &avg_keys);
         let truth: Vec<f32> = items.iter().map(|i| i.gap).collect();
         let avg_eval = deepsd::evaluate(&avg.predict_all(&te), &truth);
         println!(
@@ -446,7 +428,6 @@ pub fn predict(args: &Args) -> CmdResult {
         "blackout-traffic",
         "max-resident-mb",
         "threads",
-        "autotune",
         "metrics-out",
     ])?;
     apply_perf_flags(args)?;
@@ -559,7 +540,6 @@ pub fn serve(args: &Args) -> CmdResult {
         "stride",
         "max-resident-mb",
         "threads",
-        "autotune",
         "metrics-out",
         "continual",
         "continual-window",

@@ -48,9 +48,19 @@ fn full_pipeline_roundtrip() {
         .output()
         .expect("run inspect");
     assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("areas: 4"), "inspect output: {text}");
-    assert!(text.contains("days:  12"));
+    // The summary of this fixture city (seed 5), byte for byte.
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "areas: 4\n\
+         days:  12\n\
+         orders: 58545 (15566 unanswered, 26.6%)\n\
+         \n\
+         area  archetype        demand_scale  orders\n   \
+         0  Residential             1.42    16405\n   \
+         1  Residential             1.53    17350\n   \
+         2  Mixed                   1.06    12368\n   \
+         3  Residential             0.88    12422\n"
+    );
 
     // train (tiny: 1 epoch, small window)
     let out = bin()
@@ -102,7 +112,10 @@ fn full_pipeline_roundtrip() {
         "evaluate failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("model     MAE"));
+    // This fixture's metrics, to the printed digit.
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("model     MAE 3.141  RMSE 5.840\n"), "{text}");
+    assert!(text.contains("average   MAE 3.360  RMSE 5.715\n"), "{text}");
 
     // predict
     let out = bin()

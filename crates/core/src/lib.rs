@@ -22,7 +22,7 @@
 //! ```
 //! use deepsd::{DeepSD, ModelConfig, TrainOptions, EnvBlocks};
 //! use deepsd::trainer::{evaluate_model, train};
-//! use deepsd_features::{test_keys, train_keys, FeatureConfig, FeatureExtractor};
+//! use deepsd_features::{test_keys, train_keys, FeatureConfig, FeatureExtractor, ItemSource};
 //! use deepsd_simdata::{SimConfig, SimDataset};
 //!
 //! // Simulate a small city, build features, train a tiny basic model.
@@ -66,8 +66,8 @@ pub use checkpoint::{
 pub use config::{Encoding, EnvBlocks, ModelConfig, Variant};
 pub use continual::{ContinualConfig, ContinualEvent, Handoff, PromotedModel, ShadowTrainer};
 pub use deepsd_nn::{
-    avx2_supported, dispatch_counts, kernel_path, num_threads, set_num_threads, tune, tuned,
-    tuning, with_kernel_path, DispatchCounts, KernelPath, TuneReport, Tuning,
+    avx2_supported, dispatch_counts, kernel_path, num_threads, set_num_threads, tuning,
+    with_kernel_path, DispatchCounts, KernelPath, Tuning,
 };
 pub use metrics::{evaluate, mae, rmse, thresholded, try_evaluate, try_mae, try_rmse, Evaluation};
 pub use model::{BlockMask, DeepSD, Ensemble, Predictor};

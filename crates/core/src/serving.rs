@@ -55,11 +55,10 @@ pub struct ServingReport {
 /// Streaming gap predictor over all areas of a city.
 ///
 /// Generic over the [`ItemSource`] supplying histories, environment
-/// feeds and ground truth: the classic whole-dataset
-/// [`FeatureExtractor`](deepsd_features::FeatureExtractor) or the
-/// bounded-memory
-/// [`StreamingExtractor`](deepsd_features::StreamingExtractor), which
-/// keeps serving viable at 10k-area city scale.
+/// feeds and ground truth, in practice a
+/// [`StreamingExtractor`](deepsd_features::StreamingExtractor) over an
+/// in-memory dataset or, bounded, over a chunked container, which keeps
+/// serving viable at 10k-area city scale.
 pub struct OnlinePredictor<P: Predictor, X: ItemSource> {
     model: P,
     extractor: X,

@@ -289,8 +289,8 @@ impl Telemetry {
     /// to (one-hot `kernel_path_*` gauges), and the per-path GEMM
     /// dispatch counters (incremented once per GEMM call, so identical
     /// at every worker count). The blocking parameters land in the
-    /// `time_` namespace: when autotuned they derive from wall-clock
-    /// measurement, and the deterministic snapshot must not see them.
+    /// `time_` namespace: they only move throughput, and the
+    /// deterministic snapshot must not see them.
     pub fn record_kernel_telemetry(&self) {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         self.set_gauge("kernel_cores", cores as f64);
@@ -312,21 +312,6 @@ impl Telemetry {
             "time_kernel_tuned_par_flop_threshold",
             t.par_flop_threshold as f64,
         );
-        let tuned = deepsd_nn::tuned();
-        self.set_gauge("time_kernel_autotuned", if tuned { 1.0 } else { 0.0 });
-    }
-
-    /// One-line shard-profiling summary for epoch `epoch`, sourced from
-    /// the `time_epoch_*` gauges (the `DEEPSD_SHARD_PROF` stderr
-    /// output).
-    pub fn shard_prof_line(&self, epoch: usize) -> String {
-        let g = |name: &str| self.gauge(name).unwrap_or(0.0);
-        format!(
-            "[prof] epoch {epoch}: total={:.3}s run={:.3}s step={:.3}s",
-            g("time_epoch_seconds"),
-            g("time_epoch_shard_run_seconds"),
-            g("time_epoch_step_seconds"),
-        )
     }
 
     /// Full JSON snapshot (counters, gauges, histograms with p50/p99,

@@ -155,9 +155,9 @@ pub fn train<X: ItemSource>(
 /// Trains `model` on `train_keys` and evaluates after each epoch on
 /// pre-extracted `eval_items`.
 ///
-/// Features come from any [`ItemSource`] — the classic whole-dataset
-/// [`deepsd_features::FeatureExtractor`] or the bounded-memory
-/// [`deepsd_features::StreamingExtractor`]. When the extracted items fit
+/// Features come from any [`ItemSource`] — a
+/// [`deepsd_features::StreamingExtractor`] over an in-memory dataset, a
+/// chunked container or a generator. When the extracted items fit
 /// [`TrainOptions::max_resident_mb`] they are extracted once and cached
 /// for every epoch; otherwise each epoch re-extracts one shuffle window
 /// at a time, so trainer-resident feature memory stays bounded by
@@ -235,14 +235,7 @@ pub fn train_ensemble<X: ItemSource>(
     let mut grads = GradMap::default();
 
     // Telemetry sink for epoch events and shard/step timings.
-    // `DEEPSD_SHARD_PROF` keeps working without a configured sink: it
-    // gets a local registry that backs the stderr summary alone.
-    // deepsd-lint: allow(determinism-taint, reason="DEEPSD_SHARD_PROF only selects a profiling sink; shard reduction order is fixed, so updates are bit-identical either way")
-    let shard_prof = std::env::var("DEEPSD_SHARD_PROF").is_ok();
-    let telemetry = options
-        .telemetry
-        .clone()
-        .or_else(|| shard_prof.then(Telemetry::new));
+    let telemetry = options.telemetry.as_ref();
 
     // Divergence guard: the parameters we can safely fall back to when a
     // batch loss or evaluation turns non-finite.
@@ -343,14 +336,11 @@ pub fn train_ensemble<X: ItemSource>(
         }
         let seconds = started.elapsed().as_secs_f64();
         let lr_used = adam.lr as f64;
-        if let Some(tel) = &telemetry {
+        if let Some(tel) = telemetry {
             tel.set_gauge("time_epoch_seconds", seconds);
             tel.set_gauge("time_epoch_shard_run_seconds", t_run);
             tel.set_gauge("time_epoch_step_seconds", t_step);
             tel.observe("time_epoch_seconds_hist", seconds);
-            if shard_prof {
-                eprintln!("{}", tel.shard_prof_line(epoch));
-            }
         }
 
         if !diverged {
@@ -364,7 +354,7 @@ pub fn train_ensemble<X: ItemSource>(
                 let snap = Rc::new(model.snapshot());
                 snapshots.push((eval.rmse, Rc::clone(&snap)));
                 let train_loss = loss_sum / batches.max(1) as f64;
-                if let Some(tel) = &telemetry {
+                if let Some(tel) = telemetry {
                     tel.record_epoch(EpochEvent {
                         epoch,
                         train_loss,
@@ -396,7 +386,7 @@ pub fn train_ensemble<X: ItemSource>(
         // were computed from the diverging trajectory).
         model.restore(&last_good);
         recoveries += 1;
-        if let Some(tel) = &telemetry {
+        if let Some(tel) = telemetry {
             tel.inc_counter("train_divergence_rollbacks_total");
         }
         if recoveries > options.max_divergence_recoveries {
@@ -405,7 +395,7 @@ pub fn train_ensemble<X: ItemSource>(
         adam = Adam::new(adam.lr * 0.5, 0.9, 0.999, 1e-8);
     }
 
-    if let Some(tel) = &telemetry {
+    if let Some(tel) = telemetry {
         let pool_stats = pool.stats();
         tel.set_counter("train_shard_pool_runs_total", pool_stats.runs);
         tel.set_counter("train_shard_pool_shards_total", pool_stats.shards);

@@ -29,7 +29,7 @@ fn child_emits_training_trace() {
     }
     use deepsd::trainer::train;
     use deepsd::{DeepSD, EnvBlocks, ModelConfig, Telemetry, TrainOptions};
-    use deepsd_features::{test_keys, train_keys, FeatureConfig, FeatureExtractor};
+    use deepsd_features::{test_keys, train_keys, FeatureConfig, FeatureExtractor, ItemSource};
     use deepsd_simdata::{SimConfig, SimDataset};
 
     let ds = SimDataset::generate(&SimConfig::smoke(61));
@@ -94,7 +94,7 @@ fn child_emits_streamed_trace() {
     use deepsd::trainer::train;
     use deepsd::{DeepSD, EnvBlocks, ModelConfig, Telemetry, TrainOptions};
     use deepsd_features::{
-        test_keys, train_keys, FeatureConfig, FeatureExtractor, StreamingExtractor,
+        test_keys, train_keys, FeatureConfig, FeatureExtractor, ItemSource, StreamingExtractor,
     };
     use deepsd_simdata::{SimConfig, SimDataset, StreamGenerator};
 

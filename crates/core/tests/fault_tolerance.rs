@@ -10,6 +10,7 @@
 use deepsd::{BlockMask, DeepSD, ModelConfig, OnlinePredictor};
 use deepsd_features::{
     FeatureConfig, FeatureExtractor, FeedHealth, FeedKind, FeedState, IngestError, IngestPolicy,
+    ItemSource,
 };
 use deepsd_simdata::{
     blackout_windows, shuffle_within_slack, FaultPlan, Order, SimConfig, SimDataset,

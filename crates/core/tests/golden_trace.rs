@@ -14,7 +14,7 @@
 
 use deepsd::trainer::train;
 use deepsd::{DeepSD, EnvBlocks, ModelConfig, Telemetry, TrainOptions};
-use deepsd_features::{test_keys, train_keys, FeatureConfig, FeatureExtractor};
+use deepsd_features::{test_keys, train_keys, FeatureConfig, FeatureExtractor, ItemSource};
 use deepsd_nn::{clear_forced_kernel_path, force_kernel_path, KernelPath};
 use deepsd_simdata::codec::fnv1a64;
 use deepsd_simdata::{SimConfig, SimDataset};

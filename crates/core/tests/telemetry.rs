@@ -10,7 +10,7 @@ use deepsd::{
     parse_prometheus, DeepSD, EnvBlocks, ModelConfig, OnlinePredictor, Telemetry, TrainOptions,
 };
 use deepsd_features::{
-    test_keys, train_keys, FeatureConfig, FeatureExtractor, FeedHealth, FeedKind,
+    test_keys, train_keys, FeatureConfig, FeatureExtractor, FeedHealth, FeedKind, ItemSource,
 };
 use deepsd_simdata::{Order, SimConfig, SimDataset};
 

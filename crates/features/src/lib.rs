@@ -1,7 +1,10 @@
 //! # deepsd-features — the DeepSD feature pipeline
 //!
-//! Implements §II and §V of the paper against a
-//! [`deepsd_simdata::SimDataset`]:
+//! Implements §II and §V of the paper over any
+//! [`deepsd_simdata::AreaSource`] (an in-memory
+//! [`deepsd_simdata::SimDataset`], a chunked `DEEPSD-DATA2` container or
+//! a chunked generator), through one extractor,
+//! [`StreamingExtractor`]:
 //!
 //! * ground-truth supply-demand **gaps** (Definition 2),
 //! * real-time **supply-demand / last-call / waiting-time vectors**
@@ -13,10 +16,15 @@
 //! * the paper's **train/test item grids** (§VI-A) and mini-batch
 //!   flattening ([`items`], [`batch`]).
 //!
+//! [`FeatureExtractor`] is not a second extractor: it is the alias for
+//! [`StreamingExtractor`] over an in-memory `&SimDataset`, which lends
+//! every area without copying and is indexed whole when the extractor
+//! is built.
+//!
 //! ## Example
 //!
 //! ```
-//! use deepsd_features::{Batch, FeatureConfig, FeatureExtractor, ItemKey};
+//! use deepsd_features::{Batch, FeatureConfig, FeatureExtractor, ItemKey, ItemSource};
 //! use deepsd_simdata::{SimConfig, SimDataset};
 //!
 //! let ds = SimDataset::generate(&SimConfig::smoke(1));
@@ -44,12 +52,11 @@ pub mod ingest;
 pub mod items;
 pub mod online;
 pub mod scaling;
-pub mod stream;
 pub mod vectors;
 
 pub use batch::Batch;
 pub use config::FeatureConfig;
-pub use extract::FeatureExtractor;
+pub use extract::{FeatureExtractor, ItemSource, StreamingExtractor};
 pub use feeds::{FeedHealth, FeedKind, FeedState, FeedStatus, DEFAULT_MAX_STALENESS};
 pub use history::{AreaHistory, VectorKind};
 pub use index::AreaIndex;
@@ -58,4 +65,3 @@ pub use ingest::{
 };
 pub use items::{test_keys, train_keys, Item, ItemKey};
 pub use online::OnlineWindow;
-pub use stream::{ItemSource, StreamingExtractor};

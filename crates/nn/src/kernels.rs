@@ -1,5 +1,5 @@
 //! Cache-blocked, register-tiled, deterministically parallel GEMM kernels
-//! with explicit-SIMD microkernels and startup autotuning.
+//! with explicit-SIMD microkernels.
 //!
 //! These back the three matrix-product orientations used by backprop
 //! ([`Matrix::matmul`], [`Matrix::matmul_tn`], [`Matrix::matmul_nt`]).
@@ -30,7 +30,7 @@
 //! 3. **Fixed-partition parallelism that scales on skinny shapes.**
 //!    Output rows are split into blocks of at most `mc` rows and
 //!    distributed over `std::thread::scope` workers in contiguous runs.
-//!    When the tuned `mc` would yield fewer blocks than worker threads,
+//!    When the configured `mc` would yield fewer blocks than worker threads,
 //!    the block height shrinks (to a multiple of `MR`) so tall-skinny
 //!    and small-`n` products still use every core: the block *count*,
 //!    not the row count, is what caps parallelism. Blocks never share
@@ -38,11 +38,9 @@
 //!    structural.
 //!
 //! The blocking parameters (`mc`, `kc`, the parallel cutover) are
-//! process-global runtime values seeded with conservative defaults and
-//! refined by [`tune`], a bounded startup sweep over representative
-//! shapes. Because blocking cannot change per-cell arithmetic, any
-//! tuning outcome preserves bit identity; [`set_tuning`] exists so
-//! tests can assert exactly that.
+//! process-global runtime values with fixed defaults. Because blocking
+//! cannot change per-cell arithmetic, any values preserve bit identity;
+//! [`set_tuning`] exists so tests can assert exactly that.
 //!
 //! Thread count is process-global ([`set_num_threads`]; `0` =
 //! auto-detect) so the CLI `--threads` flag reaches every kernel call
@@ -321,7 +319,7 @@ fn bump_dispatch(path: KernelPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Blocking parameters and autotune
+// Blocking parameters
 // ---------------------------------------------------------------------------
 
 /// The runtime blocking parameters every GEMM reads once at entry.
@@ -361,128 +359,12 @@ pub fn tuning() -> Tuning {
 
 /// Replaces the process-global blocking parameters.
 ///
-/// Exposed so tests can assert tuning-invariance of results and so
-/// [`tune`] can install its winner; `mc`/`kc` are clamped to `>= 1`.
+/// Exposed so tests can assert tuning-invariance of results; `mc`/`kc`
+/// are clamped to `>= 1`.
 pub fn set_tuning(t: Tuning) {
     MC_ROWS.store(t.mc.max(1), Ordering::Relaxed);
     KC_LEN.store(t.kc.max(1), Ordering::Relaxed);
     PAR_FLOPS.store(t.par_flop_threshold, Ordering::Relaxed);
-}
-
-/// Result of the startup autotune sweep: the installed parameters plus
-/// how long the sweep took.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TuneReport {
-    /// The winning (now installed) blocking parameters.
-    pub tuning: Tuning,
-    /// Wall-clock cost of the sweep in milliseconds.
-    pub sweep_ms: f64,
-}
-
-static TUNE_RESULT: OnceLock<TuneReport> = OnceLock::new();
-
-/// Whether [`tune`] has run in this process.
-pub fn tuned() -> bool {
-    TUNE_RESULT.get().is_some()
-}
-
-/// Startup autotune: sweeps `mc`/`kc` candidates (and the parallel
-/// cutover when more than one core is available) on a few
-/// representative training shapes, installs the fastest combination
-/// process-wide and caches the result — subsequent calls return the
-/// cached report without re-sweeping.
-///
-/// The sweep costs tens of milliseconds and runs entirely on shapes of
-/// the size backprop issues (a batch panel and a square activation
-/// product). Because blocking cannot change per-cell arithmetic, the
-/// chosen parameters cannot change any result bit (tested).
-pub fn tune() -> TuneReport {
-    *TUNE_RESULT.get_or_init(run_autotune)
-}
-
-/// Times one serial `gemm_nn` of `m x k @ k x n` under the current
-/// tuning, returning seconds for `reps` products.
-fn time_gemm(m: usize, k: usize, n: usize, reps: usize) -> f64 {
-    let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.37).sin()).collect();
-    let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.73).cos()).collect();
-    let mut out = vec![0.0f32; m * n];
-    // Warm the caches and the page tables once before timing.
-    gemm_nn(&a, k, &b, n, &mut out);
-    // deepsd-lint: allow(determinism-wallclock, reason="autotune measures kernel wall time to pick block sizes; the choice can only move throughput, never result bits")
-    let started = std::time::Instant::now();
-    for _ in 0..reps {
-        out.iter_mut().for_each(|v| *v = 0.0);
-        gemm_nn(&a, k, &b, n, &mut out);
-    }
-    std::hint::black_box(&out);
-    started.elapsed().as_secs_f64()
-}
-
-fn run_autotune() -> TuneReport {
-    let prev_threads = num_threads();
-    // Sweep serially so the measurement sees pure kernel throughput.
-    set_num_threads(1);
-    // deepsd-lint: allow(determinism-wallclock, reason="autotune sweep duration is reported as metadata only; nothing branches on it downstream")
-    let sweep_started = std::time::Instant::now();
-
-    // Representative shapes: a square activation product and a wide
-    // batch panel (batch 64, the paper's size, against a wide weight).
-    const SHAPES: [(usize, usize, usize); 2] = [(192, 192, 192), (64, 512, 128)];
-    let mut best = Tuning::default();
-    let mut best_secs = f64::INFINITY;
-    for &mc in &[16usize, 32, 64, 128] {
-        for &kc in &[64usize, 128, 256, 512] {
-            set_tuning(Tuning {
-                mc,
-                kc,
-                par_flop_threshold: usize::MAX, // stay serial during the sweep
-            });
-            let secs: f64 = SHAPES.iter().map(|&(m, k, n)| time_gemm(m, k, n, 2)).sum();
-            if secs < best_secs {
-                best_secs = secs;
-                best = Tuning {
-                    mc,
-                    kc,
-                    ..Tuning::default()
-                };
-            }
-        }
-    }
-
-    // Parallel cutover: find the smallest representative product where
-    // threads beat serial. Pointless on one core; keep the default.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores >= 2 {
-        best.par_flop_threshold = usize::MAX;
-        for &(m, k, n) in &[(32usize, 32, 32), (64usize, 64, 64), (128usize, 128, 128)] {
-            set_tuning(best);
-            let serial = time_gemm(m, k, n, 4);
-            set_tuning(Tuning {
-                par_flop_threshold: 0,
-                ..best
-            });
-            set_num_threads(0);
-            let parallel = time_gemm(m, k, n, 4);
-            set_num_threads(1);
-            if parallel < serial * 0.95 {
-                best.par_flop_threshold = m * k * n;
-                break;
-            }
-        }
-        if best.par_flop_threshold == usize::MAX {
-            // Threads never won on the probe shapes; fall back to the
-            // conservative default rather than disabling parallelism
-            // for the larger shapes the probe did not cover.
-            best.par_flop_threshold = PAR_FLOP_DEFAULT;
-        }
-    }
-
-    set_tuning(best);
-    set_num_threads(prev_threads);
-    TuneReport {
-        tuning: best,
-        sweep_ms: sweep_started.elapsed().as_secs_f64() * 1e3,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -504,7 +386,7 @@ fn desired_threads(flops: usize, par_flop_threshold: usize) -> usize {
 }
 
 /// Block height for `rows` output rows over `threads` workers: the
-/// tuned `mc`, shrunk (to a multiple of `MR`, minimum `MR`) whenever it
+/// configured `mc`, shrunk (to a multiple of `MR`, minimum `MR`) whenever it
 /// would produce fewer blocks than workers. This is what lets
 /// tall-skinny products engage every core — parallelism is capped by
 /// the block *count*, so the fix is to cut more blocks, not to demand
@@ -1051,7 +933,7 @@ mod tests {
         // the adaptive height cuts MR-row blocks instead.
         assert_eq!(block_rows(64, 8, 64), 8);
         assert_eq!(block_rows(64, 1, 64), 64);
-        // Never below one MR tile, never above the tuned mc.
+        // Never below one MR tile, never above the configured mc.
         assert_eq!(block_rows(6, 8, 64), MR);
         assert_eq!(block_rows(4096, 2, 64), 64);
         // Degenerate inputs stay sane.

@@ -65,8 +65,8 @@ pub use init::{seeded_rng, Init};
 pub use kernels::{
     avx2_supported, clear_forced_kernel_path, dispatch_counts, force_kernel_path, kernel_path,
     matmul_nt_ref, matmul_ref, matmul_tn_ref, num_threads, reset_dispatch_counts, set_num_threads,
-    set_tuning, tune, tuned, tuning, with_kernel_path, DispatchCounts, KernelPath, TuneReport,
-    Tuning, UnsupportedKernelPath,
+    set_tuning, tuning, with_kernel_path, DispatchCounts, KernelPath, Tuning,
+    UnsupportedKernelPath,
 };
 pub use layers::{Activation, Dense, Embedding, OneHot, SoftmaxLayer};
 pub use matrix::Matrix;

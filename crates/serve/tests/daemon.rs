@@ -10,7 +10,7 @@
 
 use deepsd::telemetry::Telemetry;
 use deepsd::{DeepSD, ModelConfig, OnlinePredictor};
-use deepsd_features::{FeatureConfig, FeatureExtractor, FeedHealth, FeedKind};
+use deepsd_features::{FeatureConfig, FeatureExtractor, FeedHealth, FeedKind, ItemSource};
 use deepsd_serve::{ServeConfig, Server};
 use deepsd_simdata::{SimConfig, SimDataset};
 use std::io::{Read, Write};

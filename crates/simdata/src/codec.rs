@@ -129,37 +129,6 @@ pub fn encode_dataset_v2(ds: &SimDataset) -> Vec<u8> {
     w.finish().expect("in-memory writes cannot fail")
 }
 
-/// Decodes a `DEEPSD-DATA2` container held in memory, materializing it
-/// whole (areas without stored traffic get all-zero traffic
-/// observations); for bounded-memory access open a [`ChunkReader`]
-/// instead.
-pub fn decode_dataset(blob: &[u8]) -> Result<SimDataset, CodecError> {
-    let mut reader = ChunkReader::open(std::io::Cursor::new(blob))?;
-    let n_areas = reader.city().n_areas();
-    let n_days = reader.n_days();
-    let slots = MINUTES_PER_DAY as usize;
-    let span = n_days as usize * slots;
-    let mut traffic = vec![TrafficObs::default(); n_areas * span];
-    let mut orders_by_area = Vec::with_capacity(n_areas);
-    for area in 0..n_areas as u16 {
-        let block = reader.read_area(area)?;
-        if !block.traffic.is_empty() {
-            let start = area as usize * span;
-            traffic[start..start + span].copy_from_slice(&block.traffic);
-        }
-        orders_by_area.push(block.orders);
-    }
-    let weather = reader.weather().to_vec();
-    let (city, _) = reader.into_parts();
-    Ok(SimDataset::from_parts(
-        city,
-        n_days,
-        weather,
-        traffic,
-        orders_by_area,
-    ))
-}
-
 /// I/O statistics of a [`ChunkReader`]: fuel for the
 /// `data_chunks_read_total` / `data_bytes_read_total` telemetry
 /// counters. Both are deterministic functions of the access pattern.
@@ -502,11 +471,6 @@ impl<R: Read + Seek> ChunkReader<R> {
         }
         Ok(())
     }
-
-    /// Consumes the reader, returning the city and its adjacency edges.
-    pub fn into_parts(self) -> (City, Vec<(u16, u16)>) {
-        (self.city, self.edges)
-    }
 }
 
 impl<R: Read + Seek> AreaSource for ChunkReader<R> {
@@ -737,7 +701,6 @@ mod tests {
     use super::*;
     use crate::dataset::SimConfig;
     use crate::stream::StreamGenerator;
-    use crate::types::SlotTime;
     use std::io::Cursor;
 
     #[test]
@@ -747,20 +710,34 @@ mod tests {
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
+    /// Opens a container and decodes every area chunk in id order.
+    fn read_all(blob: &[u8]) -> Result<Vec<AreaBlock>, CodecError> {
+        let mut r = ChunkReader::open(Cursor::new(blob))?;
+        (0..r.city().n_areas() as u16)
+            .map(|area| r.read_area(area))
+            .collect()
+    }
+
     #[test]
     fn chunked_roundtrip_is_byte_identical() {
         let ds = SimDataset::generate(&SimConfig::smoke(95));
         let blob = encode_dataset_v2(&ds);
-        let back = decode_dataset(&blob).expect("v2 roundtrip");
-        assert_eq!(back.n_days, ds.n_days);
-        for area in 0..ds.n_areas() as u16 {
-            assert_eq!(back.orders(area), ds.orders(area));
-            assert_eq!(back.area_traffic(area), ds.area_traffic(area));
+        let r = ChunkReader::open(Cursor::new(&blob[..])).expect("open");
+        assert_eq!(r.n_days(), ds.n_days);
+        assert_eq!(r.weather(), SimDataset::weather(&ds));
+        let back = read_all(&blob).expect("v2 roundtrip");
+        for (area, block) in back.iter().enumerate() {
+            assert_eq!(block.orders, ds.orders(area as u16));
+            assert_eq!(block.traffic, ds.area_traffic(area as u16));
         }
-        assert_eq!(SimDataset::weather(&back), SimDataset::weather(&ds));
-        // Re-encoding the decoded dataset reproduces the container
-        // byte for byte.
-        assert_eq!(encode_dataset_v2(&back), blob);
+        // Re-encoding the decoded blocks reproduces the container byte
+        // for byte.
+        let mut w =
+            ChunkWriter::new(Vec::new(), r.city(), r.n_days(), r.weather(), true).expect("header");
+        for block in &back {
+            w.write_area(block).expect("chunk");
+        }
+        assert_eq!(w.finish().expect("finish"), blob);
     }
 
     #[test]
@@ -804,7 +781,7 @@ mod tests {
     }
 
     #[test]
-    fn containers_without_traffic_decode_to_zero_traffic() {
+    fn containers_without_traffic_read_empty_streams() {
         let config = SimConfig::smoke(98);
         let mut sg = StreamGenerator::new(&config).without_traffic();
         let mut w = ChunkWriter::new(
@@ -823,8 +800,8 @@ mod tests {
         let mut r = ChunkReader::open(Cursor::new(&blob[..])).expect("open");
         assert!(!ChunkReader::has_traffic(&r));
         assert!(r.read_area(0).expect("read").traffic.is_empty());
-        let ds = decode_dataset(&blob).expect("materialize");
-        assert_eq!(ds.traffic_at(0, SlotTime::new(0, 0)).total_segments(), 0);
+        let blocks = read_all(&blob).expect("read all");
+        assert!(blocks.iter().all(|b| b.traffic.is_empty()));
     }
 
     #[test]
@@ -844,7 +821,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let err = decode_dataset(b"NOPE....").unwrap_err();
+        let err = read_all(b"NOPE....").unwrap_err();
         assert_eq!(err, CodecError::BadMagic);
         let err = match ChunkReader::open(Cursor::new(&b"DEEPSD-DATAX____"[..])) {
             Ok(_) => panic!("bogus magic accepted"),
@@ -860,7 +837,7 @@ mod tests {
         // Chop at several depths; every prefix must fail cleanly, never
         // panic.
         for cut in [0, 4, 13, 40, blob.len() / 2, blob.len() - 1] {
-            let err = decode_dataset(&blob[..cut]).unwrap_err();
+            let err = read_all(&blob[..cut]).unwrap_err();
             assert!(
                 matches!(err, CodecError::Truncated | CodecError::BadMagic),
                 "cut {cut}: {err:?}"
@@ -904,12 +881,12 @@ mod tests {
         let mut evil = blob.clone();
         let n_days_at = 10 + ds.n_areas() * CITY_AREA_BYTES;
         patch_chunk(&mut evil, header, n_days_at, &[0xff, 0xff]);
-        assert_eq!(decode_dataset(&evil).unwrap_err(), CodecError::Truncated);
+        assert_eq!(read_all(&evil).unwrap_err(), CodecError::Truncated);
 
         // Overgrown edge count.
         let mut evil = blob.clone();
         patch_chunk(&mut evil, header, n_days_at + 3, &u32::MAX.to_le_bytes());
-        assert_eq!(decode_dataset(&evil).unwrap_err(), CodecError::Truncated);
+        assert_eq!(read_all(&evil).unwrap_err(), CodecError::Truncated);
 
         // Overgrown order count: the field sits after the area id and
         // the traffic stream.
@@ -923,7 +900,7 @@ mod tests {
         // An overgrown chunk length must not out-allocate the file.
         let mut evil = blob.clone();
         evil[header..header + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert_eq!(decode_dataset(&evil).unwrap_err(), CodecError::Truncated);
+        assert_eq!(read_all(&evil).unwrap_err(), CodecError::Truncated);
     }
 
     #[test]
@@ -935,7 +912,7 @@ mod tests {
         let off = chunk_offset(&blob, Some(last));
         let len = u32::from_le_bytes(blob[off..off + 4].try_into().unwrap()) as usize;
         patch_chunk(&mut blob, off, len - 1, &[7]);
-        let err = decode_dataset(&blob).unwrap_err();
+        let err = read_all(&blob).unwrap_err();
         assert_eq!(err, CodecError::InvalidField("valid flag"));
     }
 

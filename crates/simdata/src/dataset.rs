@@ -3,11 +3,10 @@
 //! configurable number of areas and days.
 
 use crate::city::{City, CityConfig};
-use crate::orders::{generate_area_orders, OrderGenConfig};
-use crate::traffic::generate_area_traffic;
+use crate::orders::OrderGenConfig;
+use crate::stream::{AreaBlock, AreaSource, SourceError, StreamGenerator};
 use crate::types::{Order, SlotTime, TrafficObs, WeatherObs, MINUTES_PER_DAY};
-use crate::weather::{generate_weather, WeatherConfig};
-use deepsd_rng::Rng;
+use crate::weather::WeatherConfig;
 
 /// Full simulation configuration.
 #[derive(Debug, Clone, Default)]
@@ -45,7 +44,10 @@ impl SimConfig {
     }
 }
 
-/// A complete simulated dataset.
+/// A complete simulated dataset, held whole in memory.
+///
+/// As an [`AreaSource`] (through `&SimDataset`) it lends every area's
+/// orders and traffic without copying.
 #[derive(Debug, Clone)]
 pub struct SimDataset {
     /// The instantiated city.
@@ -63,98 +65,47 @@ pub struct SimDataset {
 impl SimDataset {
     /// Generates the dataset deterministically from its configuration.
     ///
-    /// Areas are generated in parallel; per-area RNG streams are keyed by
+    /// Areas are generated in parallel by the per-area generator
+    /// [`StreamGenerator`] uses; per-area RNG streams are keyed by
     /// `(seed, area)` so the output is independent of thread scheduling.
     pub fn generate(config: &SimConfig) -> SimDataset {
-        assert!(config.n_days > 0, "dataset needs at least one day");
-        let seed = config.city.seed;
-        let mut rng = Rng::seed_from_u64(seed);
-        let city = City::generate(config.city.clone(), &mut rng);
-        let weather = generate_weather(config.n_days, &config.weather, &mut rng);
-
-        let n_areas = city.n_areas();
-        let n_days = config.n_days;
-        let slots = MINUTES_PER_DAY as usize;
+        let gen = StreamGenerator::new(config);
+        let n_areas = gen.n_areas();
+        let span = config.n_days as usize * MINUTES_PER_DAY as usize;
 
         let mut orders_by_area: Vec<Vec<Order>> = vec![Vec::new(); n_areas];
-        let mut traffic: Vec<TrafficObs> =
-            vec![TrafficObs::default(); n_areas * n_days as usize * slots];
+        let mut traffic = vec![TrafficObs::default(); n_areas * span];
 
         // Parallel per-area generation. Each area writes to disjoint
-        // output slices, so a scoped spawn per chunk is race-free.
+        // output slices, so a scoped spawn per run of areas is race-free.
         let threads = std::thread::available_parallelism()
             .map_or(4, |n| n.get())
             .min(n_areas.max(1));
-        let traffic_chunks: Vec<&mut [TrafficObs]> =
-            traffic.chunks_mut(n_days as usize * slots).collect();
-        let order_slots: Vec<&mut Vec<Order>> = orders_by_area.iter_mut().collect();
-        let work: Vec<(usize, &mut [TrafficObs], &mut Vec<Order>)> = traffic_chunks
-            .into_iter()
-            .zip(order_slots)
+        let mut work: Vec<(u16, &mut [TrafficObs], &mut Vec<Order>)> = traffic
+            .chunks_mut(span)
+            .zip(orders_by_area.iter_mut())
             .enumerate()
-            .map(|(a, (t, o))| (a, t, o))
+            .map(|(a, (t, o))| (a as u16, t, o))
             .collect();
-        let city_ref = &city;
-        let weather_ref = &weather;
-        let order_cfg = &config.orders;
-
+        let gen_ref = &gen;
         std::thread::scope(|scope| {
             let per_thread = work.len().div_ceil(threads);
-            let mut rest = work;
-            while !rest.is_empty() {
-                let take = per_thread.min(rest.len());
-                let batch: Vec<_> = rest.drain(..take).collect();
+            while !work.is_empty() {
+                let batch: Vec<_> = work.drain(..per_thread.min(work.len())).collect();
                 scope.spawn(move || {
-                    for (area_idx, traffic_out, orders_out) in batch {
-                        let area = &city_ref.areas[area_idx];
-                        *orders_out = generate_area_orders(
-                            city_ref,
-                            area,
-                            n_days,
-                            weather_ref,
-                            order_cfg,
-                            seed,
-                        );
-                        let stream =
-                            generate_area_traffic(area, area_idx, n_days, weather_ref, seed);
-                        traffic_out.copy_from_slice(&stream);
+                    for (area, traffic_out, orders_out) in batch {
+                        let block = gen_ref.generate_area(area);
+                        traffic_out.copy_from_slice(&block.traffic);
+                        *orders_out = block.orders;
                     }
                 });
             }
         });
 
+        let (city, weather) = gen.into_parts();
         SimDataset {
             city,
-            n_days,
-            weather,
-            traffic,
-            orders_by_area,
-        }
-    }
-
-    /// Reassembles a dataset from decoded parts (used by the binary
-    /// codec).
-    ///
-    /// # Panics
-    /// Panics if buffer lengths disagree with the city/day counts.
-    pub fn from_parts(
-        city: City,
-        n_days: u16,
-        weather: Vec<WeatherObs>,
-        traffic: Vec<TrafficObs>,
-        orders_by_area: Vec<Vec<Order>>,
-    ) -> SimDataset {
-        let slots = MINUTES_PER_DAY as usize;
-        assert_eq!(weather.len(), n_days as usize * slots, "weather length");
-        assert_eq!(
-            traffic.len(),
-            city.n_areas() * n_days as usize * slots,
-            "traffic length"
-        );
-        assert_eq!(orders_by_area.len(), city.n_areas(), "order buckets");
-        SimDataset {
-            city,
-            n_days,
+            n_days: config.n_days,
             weather,
             traffic,
             orders_by_area,
@@ -209,6 +160,45 @@ impl SimDataset {
             .flat_map(|o| o.iter())
             .filter(|o| !o.valid)
             .count()
+    }
+}
+
+/// The in-memory source: no I/O and no residency cap, and
+/// [`AreaSource::borrow_area`] lends every area, so an extractor over it
+/// indexes the whole city up front instead of copying blocks.
+impl AreaSource for &SimDataset {
+    fn city(&self) -> &City {
+        &self.city
+    }
+
+    fn n_days(&self) -> u16 {
+        self.n_days
+    }
+
+    fn weather(&self) -> &[WeatherObs] {
+        &self.weather
+    }
+
+    fn has_traffic(&self) -> bool {
+        true
+    }
+
+    fn area_block(&mut self, area: u16) -> Result<AreaBlock, SourceError> {
+        let (orders, traffic) = self
+            .borrow_area(area)
+            .ok_or_else(|| SourceError(format!("area {area} out of range")))?;
+        Ok(AreaBlock {
+            area,
+            orders: orders.to_vec(),
+            traffic: traffic.to_vec(),
+        })
+    }
+
+    fn borrow_area(&self, area: u16) -> Option<(&[Order], &[TrafficObs])> {
+        if usize::from(area) >= self.n_areas() {
+            return None;
+        }
+        Some((self.orders(area), self.area_traffic(area)))
     }
 }
 

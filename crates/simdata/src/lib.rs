@@ -46,9 +46,7 @@ pub mod types;
 pub mod weather;
 
 pub use city::{Archetype, Area, City, CityConfig};
-pub use codec::{
-    decode_dataset, encode_dataset_v2, ChunkReader, ChunkWriter, CodecError, ReadStats,
-};
+pub use codec::{encode_dataset_v2, ChunkReader, ChunkWriter, CodecError, ReadStats};
 pub use dataset::{SimConfig, SimDataset};
 pub use faults::{
     blackout_windows, drop_orders, duplicate_orders, shuffle_within_slack, FaultPlan, NetFault,

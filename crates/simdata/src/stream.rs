@@ -9,13 +9,15 @@
 //! size), while per-area [`AreaBlock`]s are produced on demand and can
 //! be dropped by the caller as soon as they are consumed.
 //!
-//! Two sources implement the trait:
+//! Three sources implement the trait:
 //!
-//! * [`StreamGenerator`] — generates blocks area by area, bit-identical
-//!   to [`SimDataset::generate`](crate::SimDataset::generate) because both key their per-area RNG
-//!   streams by `(seed, area)`;
+//! * [`StreamGenerator`] — generates blocks area by area;
+//!   [`SimDataset::generate`](crate::SimDataset::generate) runs the same
+//!   per-area generator over every area, so the two are bit-identical;
 //! * `ChunkReader` (in [`crate::codec`]) — reads blocks from a
-//!   `DEEPSD-DATA2` chunked container.
+//!   `DEEPSD-DATA2` chunked container;
+//! * `&SimDataset` — the whole city in memory, lent area by area through
+//!   [`AreaSource::borrow_area`].
 
 use crate::city::City;
 use crate::dataset::SimConfig;
@@ -78,15 +80,21 @@ pub trait AreaSource {
     fn read_stats(&self) -> crate::codec::ReadStats {
         crate::codec::ReadStats::default()
     }
+    /// Lends one area's orders and traffic without copying, for sources
+    /// that already hold them in memory. `None` (the default) means the
+    /// caller must go through [`AreaSource::area_block`].
+    fn borrow_area(&self, _area: u16) -> Option<(&[Order], &[TrafficObs])> {
+        None
+    }
 }
 
 /// Generates a dataset one area at a time, never holding more than one
 /// area's orders and traffic.
 ///
-/// Bit-identical to [`SimDataset::generate`](crate::SimDataset::generate): the city and weather come
-/// from the same seeded RNG in the same order, and per-area order /
-/// traffic streams are keyed by `(seed, area)` exactly as the whole-city
-/// generator keys its parallel workers.
+/// Bit-identical to [`SimDataset::generate`](crate::SimDataset::generate),
+/// which seeds its city and weather through [`StreamGenerator::new`] and
+/// runs [`StreamGenerator::generate_area`] on parallel workers; per-area
+/// order and traffic streams are keyed by `(seed, area)`.
 pub struct StreamGenerator {
     config: SimConfig,
     city: City,
@@ -122,27 +130,11 @@ impl StreamGenerator {
         self.include_traffic = false;
         self
     }
-}
 
-impl AreaSource for StreamGenerator {
-    fn city(&self) -> &City {
-        &self.city
-    }
-
-    fn n_days(&self) -> u16 {
-        self.config.n_days
-    }
-
-    fn weather(&self) -> &[WeatherObs] {
-        &self.weather
-    }
-
-    fn has_traffic(&self) -> bool {
-        self.include_traffic
-    }
-
+    /// Generates one area's block. Takes `&self`, so whole-city
+    /// generation can run areas on parallel workers.
     // deepsd-lint: allow(panic-reach, reason="area < n_areas is checked by the extractor before a block is requested")
-    fn area_block(&mut self, area: u16) -> Result<AreaBlock, SourceError> {
+    pub(crate) fn generate_area(&self, area: u16) -> AreaBlock {
         let a = &self.city.areas[area as usize];
         let orders = generate_area_orders(
             &self.city,
@@ -163,11 +155,38 @@ impl AreaSource for StreamGenerator {
         } else {
             Vec::new()
         };
-        Ok(AreaBlock {
+        AreaBlock {
             area,
             orders,
             traffic,
-        })
+        }
+    }
+
+    /// Consumes the generator, returning the city and weather.
+    pub(crate) fn into_parts(self) -> (City, Vec<WeatherObs>) {
+        (self.city, self.weather)
+    }
+}
+
+impl AreaSource for StreamGenerator {
+    fn city(&self) -> &City {
+        &self.city
+    }
+
+    fn n_days(&self) -> u16 {
+        self.config.n_days
+    }
+
+    fn weather(&self) -> &[WeatherObs] {
+        &self.weather
+    }
+
+    fn has_traffic(&self) -> bool {
+        self.include_traffic
+    }
+
+    fn area_block(&mut self, area: u16) -> Result<AreaBlock, SourceError> {
+        Ok(self.generate_area(area))
     }
 }
 
@@ -181,15 +200,25 @@ mod tests {
         let config = SimConfig::smoke(11);
         let ds = SimDataset::generate(&config);
         let mut sg = StreamGenerator::new(&config);
+        // The in-memory source serves the same blocks, copied or lent.
+        let mut mem = &ds;
         assert_eq!(sg.n_days(), ds.n_days);
         assert_eq!(sg.n_areas(), ds.n_areas());
+        assert_eq!(mem.n_days(), ds.n_days);
+        assert_eq!(AreaSource::n_areas(&mem), ds.n_areas());
         assert_eq!(sg.weather(), SimDataset::weather(&ds));
+        assert_eq!(AreaSource::weather(&mem), SimDataset::weather(&ds));
         for area in 0..ds.n_areas() as u16 {
             let block = sg.area_block(area).unwrap();
             assert_eq!(block.area, area);
             assert_eq!(block.orders, ds.orders(area), "orders area {area}");
             assert_eq!(block.traffic, ds.area_traffic(area), "traffic area {area}");
+            assert_eq!(mem.area_block(area).unwrap(), block, "copied area {area}");
+            let (orders, traffic) = mem.borrow_area(area).unwrap();
+            assert_eq!((orders, traffic), (&block.orders[..], &block.traffic[..]));
         }
+        assert!(sg.borrow_area(0).is_none());
+        assert!(mem.area_block(ds.n_areas() as u16).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use deepsd::trainer::train;
 use deepsd::{DeepSD, ModelConfig, TrainOptions};
-use deepsd_features::{test_keys, train_keys, FeatureConfig, FeatureExtractor};
+use deepsd_features::{test_keys, train_keys, FeatureConfig, FeatureExtractor, ItemSource};
 use deepsd_simdata::{CityConfig, SimConfig, SimDataset};
 
 fn main() {

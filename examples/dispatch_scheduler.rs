@@ -14,7 +14,9 @@
 
 use deepsd::trainer::{predict_items, train};
 use deepsd::{DeepSD, ModelConfig, TrainOptions};
-use deepsd_features::{test_keys, train_keys, FeatureConfig, FeatureExtractor, ItemKey};
+use deepsd_features::{
+    test_keys, train_keys, FeatureConfig, FeatureExtractor, ItemKey, ItemSource,
+};
 use deepsd_simdata::{CityConfig, SimConfig, SimDataset};
 
 /// Standby drivers dispatched per 10-minute round.

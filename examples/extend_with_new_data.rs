@@ -6,7 +6,7 @@
 
 use deepsd::trainer::{evaluate_model, train};
 use deepsd::{DeepSD, EnvBlocks, ModelConfig, TrainOptions};
-use deepsd_features::{test_keys, train_keys, FeatureConfig, FeatureExtractor};
+use deepsd_features::{test_keys, train_keys, FeatureConfig, FeatureExtractor, ItemSource};
 use deepsd_simdata::{CityConfig, SimConfig, SimDataset};
 
 fn main() {

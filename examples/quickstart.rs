@@ -6,7 +6,7 @@
 use deepsd::trainer::{evaluate_model, train};
 use deepsd::{DeepSD, EnvBlocks, ModelConfig, TrainOptions};
 use deepsd_baselines::EmpiricalAverage;
-use deepsd_features::{test_keys, train_keys, FeatureConfig, FeatureExtractor};
+use deepsd_features::{test_keys, train_keys, FeatureConfig, FeatureExtractor, ItemSource};
 use deepsd_simdata::{CityConfig, SimConfig, SimDataset};
 
 fn main() {
@@ -70,7 +70,7 @@ fn main() {
     }
 
     // 4. Compare against the empirical average baseline.
-    let avg = EmpiricalAverage::fit(&fx, &train_ks);
+    let avg = EmpiricalAverage::fit(&mut fx, &train_ks);
     let avg_pred = avg.predict_all(&test_ks);
     let truth: Vec<f32> = test_items.iter().map(|i| i.gap).collect();
     let avg_eval = deepsd::evaluate(&avg_pred, &truth);

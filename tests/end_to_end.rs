@@ -8,7 +8,7 @@
 use deepsd::trainer::{evaluate_model, predict_items, train};
 use deepsd::{decode_checkpoint, encode_checkpoint, DeepSD, EnvBlocks, ModelConfig, TrainOptions};
 use deepsd_baselines::EmpiricalAverage;
-use deepsd_features::{test_keys, train_keys, FeatureConfig, FeatureExtractor};
+use deepsd_features::{test_keys, train_keys, FeatureConfig, FeatureExtractor, ItemSource};
 use deepsd_simdata::{CityConfig, SimConfig, SimDataset};
 
 fn dataset(seed: u64) -> SimDataset {
@@ -51,7 +51,7 @@ fn trained_model_beats_empirical_average() {
     let mut model = DeepSD::new(cfg);
     let report = train(&mut model, &mut fx, &tr, &eval_items, &quick_opts(4));
 
-    let avg = EmpiricalAverage::fit(&fx, &tr);
+    let avg = EmpiricalAverage::fit(&mut fx, &tr);
     let truth: Vec<f32> = eval_items.iter().map(|i| i.gap).collect();
     let avg_eval = deepsd::evaluate(&avg.predict_all(&te), &truth);
 

@@ -5,7 +5,7 @@
 #![allow(clippy::float_cmp)]
 
 use deepsd::{DeepSD, ModelConfig, Predictor};
-use deepsd_features::{Batch, FeatureConfig, FeatureExtractor, ItemKey};
+use deepsd_features::{Batch, FeatureConfig, FeatureExtractor, ItemKey, ItemSource};
 use deepsd_simdata::{CityConfig, OrderGenConfig, SimConfig, SimDataset};
 
 fn fcfg(l: usize) -> FeatureConfig {
