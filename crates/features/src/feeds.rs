@@ -137,7 +137,6 @@ impl FeedHealth {
     /// Panics if the window is empty or reversed.
     pub fn add_outage(&mut self, kind: FeedKind, from: SlotTime, until: SlotTime) {
         let (a, b) = (from.absolute_minute(), until.absolute_minute());
-        // deepsd-lint: allow(serving-no-panic, reason="outage declaration is a configuration-time API, not on the request path; the panic is documented and has a dedicated test")
         assert!(a < b, "empty outage window [{a}, {b})");
         self.outages_mut(kind).push((a, b));
     }

@@ -11,8 +11,7 @@
 use crate::graph::{Graph, NodeId, ResolvedEvent};
 use crate::parse::TaintKind;
 use crate::rules::{
-    Finding, RULE_DETERMINISM_MAP_ITER, RULE_DETERMINISM_TAINT, RULE_DETERMINISM_WALLCLOCK,
-    RULE_LOCK_ORDER, RULE_PANIC_REACH, RULE_SERVING_NO_PANIC,
+    Finding, RULE_DETERMINISM_TAINT, RULE_DETERMINISM_WALLCLOCK, RULE_LOCK_ORDER, RULE_PANIC_REACH,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -104,17 +103,12 @@ pub fn run(g: &Graph) -> Vec<Finding> {
     findings
 }
 
-/// Panic sites in `f` that survive site-level audits. A site-level
-/// `allow(serving-no-panic)` also sanitizes panic-reach: the site was
-/// already audited as unable to fire.
+/// Panic sites in `f` that survive site-level audits.
 fn live_panic_sites(g: &Graph, node: NodeId) -> Vec<&crate::parse::PanicSite> {
     let f = &g.fns[node];
     f.panics
         .iter()
-        .filter(|s| {
-            !g.is_allowed(RULE_PANIC_REACH, &f.file, s.line)
-                && !g.is_allowed(RULE_SERVING_NO_PANIC, &f.file, s.line)
-        })
+        .filter(|s| !g.is_allowed(RULE_PANIC_REACH, &f.file, s.line))
         .collect()
 }
 
@@ -177,24 +171,20 @@ fn panic_reach(g: &Graph, out: &mut Vec<Finding>) {
 /// Taint sites in `f` that survive the built-in sanitizers and
 /// site-level audits. Wall-clock reads in a fn that publishes a
 /// `"time_…"` metric are sanctioned (the timing namespace is excluded
-/// from the deterministic snapshot), and site-level allows for the
-/// per-file determinism rules carry over — the site was already
+/// from the deterministic snapshot), and a site-level
+/// `allow(determinism-wallclock)` carries over — the read was already
 /// audited.
 fn live_taint_sites(g: &Graph, node: NodeId) -> Vec<&crate::parse::TaintSite> {
     let f = &g.fns[node];
     f.taints
         .iter()
         .filter(|s| {
-            if s.kind == TaintKind::WallClock && f.has_time_metric {
+            if s.kind == TaintKind::WallClock
+                && (f.has_time_metric || g.is_allowed(RULE_DETERMINISM_WALLCLOCK, &f.file, s.line))
+            {
                 return false;
             }
-            let carried = match s.kind {
-                TaintKind::WallClock => RULE_DETERMINISM_WALLCLOCK,
-                TaintKind::MapIter => RULE_DETERMINISM_MAP_ITER,
-                TaintKind::RandomState | TaintKind::EnvRead => RULE_DETERMINISM_TAINT,
-            };
             !g.is_allowed(RULE_DETERMINISM_TAINT, &f.file, s.line)
-                && !g.is_allowed(carried, &f.file, s.line)
         })
         .collect()
 }
@@ -399,7 +389,12 @@ mod tests {
     #[test]
     fn unreachable_panic_is_not_flagged() {
         let f = analyse(&[
-            ("crates/serve/src/server.rs", "pub fn handle() {}"),
+            (
+                "crates/serve/src/server.rs",
+                // `#[cfg(test)]` code inside a non-test fn is not compiled
+                // into the daemon, so its panic is not reachable either.
+                "pub fn handle(v: &[u8]) { #[cfg(test)] { v[0]; } }",
+            ),
             (
                 "crates/simdata/src/gen.rs",
                 "pub fn offline(v: &[u8]) -> u8 { v[0] }",
@@ -424,7 +419,7 @@ mod tests {
     }
 
     #[test]
-    fn site_level_serving_allow_carries_over() {
+    fn site_level_panic_reach_allow_suppresses() {
         let f = analyse(&[
             (
                 "crates/serve/src/server.rs",
@@ -432,10 +427,28 @@ mod tests {
             ),
             (
                 "crates/core/src/lib.rs",
-                "pub fn helper(v: &[u8]) -> u8 {\n    // deepsd-lint: allow(serving-no-panic, reason=\"len checked by caller\")\n    v[0]\n}",
+                "pub fn helper(v: &[u8]) -> u8 {\n    // deepsd-lint: allow(panic-reach, reason=\"len checked by caller\")\n    v[0]\n}",
             ),
         ]);
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn site_level_wallclock_allow_carries_over_to_taint() {
+        let src = r#"
+            pub fn train_ensemble() { stamp(); }
+            fn stamp() -> u64 {
+                // deepsd-lint: allow(determinism-wallclock, reason="logged, never branched on")
+                let t = std::time::Instant::now();
+                0
+            }
+        "#;
+        assert!(analyse(&[("crates/core/src/trainer.rs", src)]).is_empty());
+        // The same site audited for an unrelated rule stays tainted.
+        let unaudited = src.replace("determinism-wallclock", "lock-order");
+        let f = analyse(&[("crates/core/src/trainer.rs", &unaudited)]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, RULE_DETERMINISM_TAINT);
     }
 
     #[test]
@@ -513,6 +526,21 @@ mod tests {
         )]);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, RULE_DETERMINISM_TAINT);
+        // The same loop as `#[cfg(test)]` code inside the sink is not
+        // compiled into it.
+        let f = analyse(&[(
+            "crates/core/src/telemetry.rs",
+            r#"
+            use std::collections::HashMap;
+            pub fn to_json_without_timings(m: &HashMap<String, u64>) -> String {
+                let mut s = String::new();
+                #[cfg(test)]
+                for (k, v) in m.iter() { s.push_str(k); }
+                s
+            }
+            "#,
+        )]);
+        assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
@@ -595,6 +623,56 @@ mod tests {
             "#,
         )]);
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn scope_tables_name_real_files_and_fns() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut paths: Vec<&str> = crate::rules::SCOPE_PATHS.concat();
+        for (_, spec) in ENTRY_GROUPS {
+            paths.push(match spec {
+                EntrySpec::FilePrefix(p) | EntrySpec::Named(p, _) => p,
+            });
+        }
+        paths.extend(TAINT_SINKS.iter().map(|(_, file, _)| *file));
+        let missing: Vec<&str> = paths
+            .into_iter()
+            .filter(|p| !root.join(p).exists())
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "scope tables name missing paths: {missing:?}"
+        );
+
+        // `panic_reach` and `determinism_taint` skip an entry or sink that
+        // resolves to no fn, so a rename would silently drop it.
+        let (_, g) = crate::scan_workspace(&root).expect("scan the workspace");
+        let mut unresolved = Vec::new();
+        for (group, spec) in ENTRY_GROUPS {
+            match spec {
+                EntrySpec::FilePrefix(p) => {
+                    if entry_nodes(&g, spec).is_empty() {
+                        unresolved.push(format!("{group}: {p}"));
+                    }
+                }
+                EntrySpec::Named(file, names) => {
+                    for name in *names {
+                        if g.find(file, None, name).is_empty() {
+                            unresolved.push(format!("{group}: {file} {name}"));
+                        }
+                    }
+                }
+            }
+        }
+        for (sink, file, name) in TAINT_SINKS {
+            if g.find(file, None, name).is_empty() {
+                unresolved.push(format!("{sink}: {file} {name}"));
+            }
+        }
+        assert!(
+            unresolved.is_empty(),
+            "unresolved entries/sinks: {unresolved:?}"
+        );
     }
 
     #[test]

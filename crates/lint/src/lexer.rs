@@ -1,18 +1,18 @@
 //! A lightweight Rust lexer for the invariant checker.
 //!
-//! The rules in [`crate::rules`] match token shapes (`.unwrap(`,
-//! `Instant::now`, `ident[`), so the lexer's only hard requirements are
-//! the ones a plain text grep gets wrong: comments, string literals,
-//! char literals and raw strings must never leak their contents into the
-//! token stream, and lifetimes must not be confused with char literals.
+//! The parser ([`crate::parse`]) and the rules in [`crate::rules`]
+//! match token shapes (`.unwrap(`, `Instant::now`, `ident[`), so the
+//! lexer's only hard requirements are the ones a plain text grep gets
+//! wrong: comments, string literals, char literals and raw strings must
+//! never leak their contents into the token stream, and lifetimes must
+//! not be confused with char literals.
 //! No full parse is attempted.
 //!
 //! Comments are returned separately so the allow-directive syntax
 //! (`// deepsd-lint: allow(rule, reason="…")`) can be recognised.
 
-/// Token class. The text of string literals is preserved (the
-/// wallclock rule inspects metric-name literals for the `time_`
-/// namespace) but rules must treat it as opaque data, never as code.
+/// Token class. The text of string literals is preserved (the parser
+/// inspects metric-name literals for the `time_` namespace) but rules must treat it as opaque data, never as code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
     /// Identifier or keyword.

@@ -2,11 +2,12 @@
 //!
 //! Walks every `crates/*/src/**/*.rs` file and enforces the repo's
 //! determinism, panic-safety and telemetry-hygiene invariants as named
-//! rules, ratcheted against the committed `lint-baseline.txt`. On top
-//! of the per-file token rules, an item-level parser builds the
-//! workspace call graph and runs three interprocedural analyses:
-//! panic-reachability from the serving entry points, determinism taint
-//! into the deterministic sinks, and lock-order conflict detection.
+//! rules, ratcheted against the committed `lint-baseline.txt`. Each file
+//! is lexed and parsed once ([`parse`]); the per-file rules run over
+//! that result, and the same parsed files build the workspace call
+//! graph for three interprocedural analyses: panic-reachability from
+//! the serving entry points, determinism taint into the deterministic
+//! sinks, and lock-order conflict detection.
 //!
 //! ```text
 //! cargo run -p deepsd-lint -- --check            # CI gate (exit 1 on regression)
@@ -221,11 +222,20 @@ fn find_root() -> Result<PathBuf, String> {
     }
 }
 
-/// Lints every `crates/*/src/**/*.rs` file under `root`: per-file token
-/// rules on every file, then the interprocedural analyses over the
-/// workspace call graph. Findings come back sorted by (path, line,
-/// rule).
+/// Lints every `crates/*/src/**/*.rs` file under `root`: per-file rules
+/// on every file, then the interprocedural analyses over the workspace
+/// call graph. Findings come back sorted by (path, line, rule).
 fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
+    let (mut findings, graph) = scan_workspace(root)?;
+    findings.extend(analyses::run(&graph));
+    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    Ok(findings)
+}
+
+/// Parses every `crates/*/src/**/*.rs` file under `root` once, runs the
+/// per-file rules on it, and builds the call graph from the files
+/// outside [`analyses::GRAPH_EXCLUDED_CRATES`].
+fn scan_workspace(root: &Path) -> Result<(Vec<Finding>, graph::Graph), String> {
     let mut files = Vec::new();
     let crates_dir = root.join("crates");
     let crates =
@@ -250,21 +260,18 @@ fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
             .join("/");
         let src = std::fs::read_to_string(file)
             .map_err(|e| format!("reading {}: {e}", file.display()))?;
-        findings.extend(rules::lint_file(&rel, &src));
+        let pf = parse::parse_file(&rel, &src);
+        findings.extend(rules::lint_file(&pf));
         let krate = rel
             .strip_prefix("crates/")
             .and_then(|r| r.split('/').next())
             .unwrap_or("");
         if !analyses::GRAPH_EXCLUDED_CRATES.contains(&krate) {
-            parsed.push(parse::parse_file(&rel, &src));
+            parsed.push(pf);
         }
     }
-
     let graph = graph::Graph::build_with_deps(parsed, &crate_deps(root)?);
-    findings.extend(analyses::run(&graph));
-
-    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    Ok(findings)
+    Ok((findings, graph))
 }
 
 /// Workspace crate dependencies, read from each crate's `Cargo.toml`:

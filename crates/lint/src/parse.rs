@@ -1,15 +1,19 @@
-//! Item-level parser for the interprocedural analyses (DESIGN.md §4.10).
+//! The one front end of the linter: lexes each file once and extracts
+//! everything both layers consume (DESIGN.md §4.5, §4.10).
 //!
-//! Sits on top of [`crate::lexer`] and extracts just enough structure
-//! for a workspace call graph: `impl` blocks (to qualify methods),
-//! `fn` items with their body spans, `use` aliases, call expressions,
-//! method calls, and the per-body facts the graph analyses consume
-//! (panic sites, determinism-taint sources, lock acquisitions). No full
-//! grammar is attempted — expressions are never parsed, only token
-//! shapes are matched — so the result is an over-approximation by
-//! construction (see the soundness caveats in DESIGN.md §4.10).
+//! Sits on top of [`crate::lexer`]. For the per-file rules it keeps the
+//! token stream, the `#[cfg(test)]` mask and the validated allow
+//! directives. For the workspace call graph it extracts `impl` blocks
+//! (to qualify methods), `fn` items with their body spans, call
+//! expressions, method calls, and the per-body facts the analyses
+//! consume (panic sites, determinism-taint sources — wall-clock reads
+//! among them — and lock acquisitions). No full grammar is attempted —
+//! expressions are never parsed, only token shapes are matched — so the
+//! result is an over-approximation by construction (see the soundness
+//! caveats in DESIGN.md §4.10).
 
 use crate::lexer::{lex, Tok, TokKind};
+use crate::rules::RULES;
 
 /// How a call site names its callee. Resolution happens later, against
 /// the whole-workspace index ([`crate::graph`]).
@@ -123,17 +127,30 @@ impl FnDef {
     }
 }
 
-/// Everything the graph layer needs from one file.
+/// Everything the per-file rules and the graph layer need from one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
     pub file: String,
+    /// Code tokens in source order; the per-file rules match on them.
+    pub tokens: Vec<Tok>,
+    /// `test_mask[i]` is true when `tokens[i]` lies in a `#[cfg(test)]`
+    /// item.
+    pub test_mask: Vec<bool>,
     pub fns: Vec<FnDef>,
     /// Names of struct fields typed `Mutex<…>` / `RwLock<…>` in this
     /// file (contributes to the workspace lock-field set).
     pub lock_fields: Vec<String>,
-    /// `deepsd-lint: allow(rule, …)` directive (rule, line) pairs —
-    /// graph findings anchored on `line` or `line + 1` are suppressed.
+    /// Well-formed `deepsd-lint: allow(rule, reason="…")` directives as
+    /// (rule, line) pairs — findings anchored on `line` or `line + 1`
+    /// are suppressed.
     pub allows: Vec<(String, u32)>,
+    /// Malformed or unknown-rule directives as (line, why) pairs,
+    /// reported as `lint-directive` findings.
+    pub bad_directives: Vec<(u32, String)>,
+    /// Wall-clock reads outside every fn body, such as a `static`
+    /// initializer. No call graph node owns them; only the per-file
+    /// wall-clock rule reports them.
+    pub item_wallclock: Vec<TaintSite>,
 }
 
 const PANIC_MACROS: &[&str] = &[
@@ -160,8 +177,10 @@ const MAP_ITER_METHODS: &[&str] = &[
 ];
 
 /// Keywords that look like call heads but are not (`if (…)`,
-/// `match (…)`, `return (…)`, …) plus binding/type positions.
-fn is_keyword(s: &str) -> bool {
+/// `match (…)`, `return (…)`, …) plus binding/type positions. None of
+/// them ends an expression, so a `[` or `-` after one is an array or a
+/// unary minus, never indexing or subtraction.
+pub fn is_keyword(s: &str) -> bool {
     matches!(
         s,
         "if" | "else"
@@ -195,8 +214,9 @@ fn is_keyword(s: &str) -> bool {
     )
 }
 
-/// Parses one file into function items with their call/panic/taint/lock
-/// facts. `path` must be the workspace-relative path; `crates/<k>/…`
+/// Lexes and parses one file: tokens, test mask, allow directives and
+/// function items with their call/panic/taint/lock facts. `path` must be
+/// the workspace-relative path with `/` separators; `crates/<k>/…`
 /// yields the crate name `<k>`.
 pub fn parse_file(path: &str, src: &str) -> ParsedFile {
     let lexed = lex(src);
@@ -212,22 +232,16 @@ pub fn parse_file(path: &str, src: &str) -> ParsedFile {
         ..ParsedFile::default()
     };
 
-    // Allow directives: reuse the comment stream. Unknown rules are the
-    // rule engine's problem (it reports lint-directive findings); here
-    // any well-formed allow is collected.
     for c in &lexed.comments {
-        if let Some(rest) = c.text.trim_start().strip_prefix("deepsd-lint:") {
-            if let Some(body) = rest.trim().strip_prefix("allow(") {
-                let rule = body
-                    .split([',', ')'])
-                    .next()
-                    .unwrap_or("")
-                    .trim()
-                    .to_string();
-                if !rule.is_empty() {
-                    out.allows.push((rule, c.line));
-                }
-            }
+        // Anchor to the start of the comment so prose (and the doc
+        // examples in this crate) that merely *mentions* the directive
+        // syntax is not parsed as one.
+        let Some(rest) = c.text.trim_start().strip_prefix("deepsd-lint:") else {
+            continue;
+        };
+        match parse_allow(rest.trim()) {
+            Ok(rule) => out.allows.push((rule, c.line)),
+            Err(why) => out.bad_directives.push((c.line, why)),
         }
     }
 
@@ -281,6 +295,12 @@ pub fn parse_file(path: &str, src: &str) -> ParsedFile {
                     is_test: skip.get(i).copied().unwrap_or(false),
                 });
                 let fn_idx = out.fns.len() - 1;
+                // The signature is skipped below, but a `SystemTime`
+                // parameter or return type is a wall-clock site.
+                let header = (i + 1..body_open).filter(|&k| !skip[k]);
+                out.fns[fn_idx]
+                    .taints
+                    .extend(header.filter_map(|k| wallclock_read(toks, k)));
                 // Advance to the body `{`, then scan the body inline —
                 // the outer loop continues from inside it so nested
                 // items are still seen.
@@ -308,9 +328,17 @@ pub fn parse_file(path: &str, src: &str) -> ParsedFile {
             }
         }
 
-        // Body facts go to the innermost open fn.
-        if let Some(&(fn_idx, _)) = fn_stack.last() {
-            scan_body_token(toks, i, &mut out.fns[fn_idx], &mut out.lock_fields);
+        // Body facts go to the innermost open fn; `#[cfg(test)]` code
+        // inside a non-test fn contributes none. A wall-clock read outside
+        // every fn (a `static` or `thread_local!` initializer) has no fn
+        // to own it.
+        if !skip[i] {
+            match fn_stack.last() {
+                Some(&(fn_idx, _)) => {
+                    scan_body_token(toks, i, &mut out.fns[fn_idx], &mut out.lock_fields)
+                }
+                None => out.item_wallclock.extend(wallclock_read(toks, i)),
+            }
         }
         i += 1;
     }
@@ -319,9 +347,34 @@ pub fn parse_file(path: &str, src: &str) -> ParsedFile {
     // cheap pass now that fn spans are known.
     let maps = map_idents(toks);
     if !maps.is_empty() {
-        attach_map_iter_taints(toks, &maps, &mut out.fns);
+        attach_map_iter_taints(toks, &skip, &maps, &mut out.fns);
     }
+    out.tokens = lexed.tokens;
+    out.test_mask = skip;
     out
+}
+
+/// Parses `allow(rule, reason="…")`, returning the rule name.
+fn parse_allow(s: &str) -> Result<String, String> {
+    let body = s
+        .strip_prefix("allow(")
+        .and_then(|r| r.rfind(')').map(|end| &r[..end]))
+        .ok_or_else(|| "directive must be allow(rule, reason=\"…\")".to_string())?;
+    let (rule, rest) = match body.split_once(',') {
+        Some((r, rest)) => (r.trim(), rest.trim()),
+        None => (body.trim(), ""),
+    };
+    if !RULES.contains(&rule) {
+        return Err(format!("unknown rule '{rule}' in allow directive"));
+    }
+    let reason = rest
+        .strip_prefix("reason=")
+        .map(|r| r.trim().trim_matches('"').trim())
+        .unwrap_or("");
+    if reason.is_empty() {
+        return Err(format!("allow({rule}) needs a non-empty reason=\"…\""));
+    }
+    Ok(rule.to_string())
 }
 
 /// `impl … {`: returns the implemented type name and the token index of
@@ -499,16 +552,8 @@ fn scan_body_token(toks: &[Tok], i: usize, f: &mut FnDef, lock_fields: &mut [Str
         return;
     }
 
-    // Wall-clock taint: `Instant::now` / `SystemTime::now`.
-    if (t.is_ident("Instant") || t.is_ident("SystemTime"))
-        && next_is(1, "::")
-        && toks.get(i + 2).is_some_and(|p| p.is_ident("now"))
-    {
-        f.taints.push(TaintSite {
-            kind: TaintKind::WallClock,
-            line: t.line,
-            what: format!("{}::now", t.text),
-        });
+    if let Some(site) = wallclock_read(toks, i) {
+        f.taints.push(site);
         return;
     }
 
@@ -575,6 +620,41 @@ fn scan_body_token(toks: &[Tok], i: usize, f: &mut FnDef, lock_fields: &mut [Str
     });
 }
 
+/// The wall-clock read at token `i`, if there is one: `Instant::now`,
+/// or any `SystemTime` outside a `use` item (`SystemTime::now`,
+/// `SystemTime::UNIX_EPOCH.elapsed()`, a `SystemTime` return type).
+fn wallclock_read(toks: &[Tok], i: usize) -> Option<TaintSite> {
+    let t = &toks[i];
+    let now = toks.get(i + 1).is_some_and(|p| p.is_punct("::"))
+        && toks.get(i + 2).is_some_and(|p| p.is_ident("now"));
+    let what = if t.is_ident("Instant") && now {
+        "Instant::now"
+    } else if t.is_ident("SystemTime") && !in_use_item(toks, i) {
+        if now {
+            "SystemTime::now"
+        } else {
+            "SystemTime"
+        }
+    } else {
+        return None;
+    };
+    Some(TaintSite {
+        kind: TaintKind::WallClock,
+        line: t.line,
+        what: what.to_string(),
+    })
+}
+
+/// Whether token `i` lies in a `use` item: a `use` keyword precedes it
+/// with no `;` in between (an import is harmless until the type is used).
+fn in_use_item(toks: &[Tok], i: usize) -> bool {
+    toks[..i]
+        .iter()
+        .rev()
+        .take_while(|t| !t.is_punct(";"))
+        .any(|t| t.is_ident("use"))
+}
+
 /// Walks back a `.`-chain from the `.` at `dot` and returns the last
 /// path segment of the receiver (`self.state.jobs.lock()` ⇒ `jobs`).
 /// Returns `None` when the receiver is not a plain ident chain (method
@@ -638,24 +718,24 @@ fn collect_lock_fields(toks: &[Tok], out: &mut Vec<String>) {
     out.dedup();
 }
 
-/// Identifiers bound to a `HashMap`/`HashSet` in this file — same
-/// heuristic as the per-file rule (type ascriptions and constructor
-/// bindings).
+/// Identifiers bound to a `HashMap`/`HashSet` in this file: type
+/// ascriptions (`name: HashMap<…>`, `name: &mut HashMap<…>`) and
+/// constructor bindings (`let name = HashMap::new()`).
 fn map_idents(toks: &[Tok]) -> Vec<String> {
     let mut names = Vec::new();
     for (i, t) in toks.iter().enumerate() {
         if !(t.is_ident("HashMap") || t.is_ident("HashSet")) {
             continue;
         }
+        // Walk back over `&`, `mut` and `::` path segments to a `:`.
         let mut j = i;
         while j > 0 {
             let p = &toks[j - 1];
             if p.is_punct("&") || p.is_ident("mut") || p.is_punct("::") || p.kind == TokKind::Ident
             {
+                // Only path/ref tokens may sit between `:` and the type.
                 if p.kind == TokKind::Ident
-                    && !(p.is_ident("mut")
-                        || toks.get(j).is_some_and(|n| n.is_punct("::"))
-                        || toks.get(j - 1 + 1).is_some_and(|n| n.is_punct("::")))
+                    && !(p.is_ident("mut") || toks.get(j).is_some_and(|n| n.is_punct("::")))
                 {
                     break;
                 }
@@ -668,6 +748,7 @@ fn map_idents(toks: &[Tok]) -> Vec<String> {
             names.push(toks[j - 2].text.clone());
             continue;
         }
+        // `let [mut] name = HashMap…` / `= HashSet…`
         if i >= 2 && toks[i - 1].is_punct("=") && toks[i - 2].kind == TokKind::Ident {
             names.push(toks[i - 2].text.clone());
         }
@@ -678,11 +759,12 @@ fn map_idents(toks: &[Tok]) -> Vec<String> {
 }
 
 /// Adds `MapIter` taints for hash-ordered iteration over the file's
-/// known map idents, attributed to the enclosing fn by line range.
-fn attach_map_iter_taints(toks: &[Tok], maps: &[String], fns: &mut [FnDef]) {
+/// known map idents outside `#[cfg(test)]` code, attributed to the
+/// enclosing fn by line range.
+fn attach_map_iter_taints(toks: &[Tok], skip: &[bool], maps: &[String], fns: &mut [FnDef]) {
     let is_map = |t: &Tok| t.kind == TokKind::Ident && maps.iter().any(|m| m == &t.text);
     let mut sites: Vec<TaintSite> = Vec::new();
-    for i in 0..toks.len() {
+    for i in (0..toks.len()).filter(|&i| !skip[i]) {
         // `map.iter()` …
         if i >= 2
             && toks[i].kind == TokKind::Ident
@@ -734,8 +816,9 @@ fn attach_map_iter_taints(toks: &[Tok], maps: &[String], fns: &mut [FnDef]) {
     }
 }
 
-/// Marks tokens inside `#[cfg(test)]` items — same walk as the rule
-/// engine's.
+/// Marks the token ranges belonging to `#[cfg(test)]` items (true =
+/// test code). The item is either the next balanced `{…}` block or, for
+/// block-less items, everything up to the `;`.
 fn test_mask(toks: &[Tok]) -> Vec<bool> {
     let mut skip = vec![false; toks.len()];
     let mut i = 0usize;
@@ -882,11 +965,20 @@ mod tests {
                 if i > 9 { panic!("boom"); }
                 unreachable!()
             }
+            fn arrays_attrs_and_macros(s: &S, i: usize) -> f32 {
+                #[allow(unused)]
+                let table = [1.0f32, 2.0];
+                let v = vec![0.0f32; 4];
+                if i > 2 { return [0.0f32][0]; }
+                s.xs[i]
+            }
+            fn get_based(v: &[f32], i: usize) -> f32 { v.get(i).copied().unwrap_or(0.0) }
             "#,
         );
-        let kinds: Vec<PanicKind> = p.fns[0].panics.iter().map(|s| s.kind).collect();
+        let kinds =
+            |k: usize| -> Vec<PanicKind> { p.fns[k].panics.iter().map(|s| s.kind).collect() };
         assert_eq!(
-            kinds,
+            kinds(0),
             vec![
                 PanicKind::UnwrapExpect,
                 PanicKind::Index,
@@ -894,6 +986,11 @@ mod tests {
                 PanicKind::Macro
             ]
         );
+        // Attributes, array literals, `vec![…]` and `return […]` are not
+        // indexing; `[0.0f32][0]` and `s.xs[i]` are.
+        assert_eq!(kinds(1), vec![PanicKind::Index, PanicKind::Index]);
+        // `.unwrap_or` is not `.unwrap`.
+        assert!(kinds(2).is_empty(), "{:?}", p.fns[2].panics);
     }
 
     #[test]
@@ -907,6 +1004,12 @@ mod tests {
                 let e = std::env::var("X");
                 for (k, v) in m.iter() {}
             }
+            fn dump(m: HashMap<String, u64>) {
+                for k in &m { let _ = k; }
+            }
+            fn vec_walk(v: &Vec<f32>, lookup: &HashMap<u32, f32>) -> f32 {
+                v.iter().map(|x| lookup.get(&(*x as u32)).copied().unwrap_or(0.0)).sum()
+            }
             "#,
         );
         let kinds: Vec<TaintKind> = p.fns[0].taints.iter().map(|s| s.kind).collect();
@@ -914,6 +1017,10 @@ mod tests {
         assert!(kinds.contains(&TaintKind::RandomState));
         assert!(kinds.contains(&TaintKind::EnvRead));
         assert!(kinds.contains(&TaintKind::MapIter));
+        let sites: Vec<&str> = p.fns[1].taints.iter().map(|s| s.what.as_str()).collect();
+        assert_eq!(sites, vec!["for … in m"]);
+        // Iterating a Vec next to a map lookup is not map iteration.
+        assert!(p.fns[2].taints.is_empty(), "{:?}", p.fns[2].taints);
     }
 
     #[test]
@@ -991,8 +1098,17 @@ mod tests {
 
     #[test]
     fn allows_are_collected_with_lines() {
-        let p = parse("// deepsd-lint: allow(panic-reach, reason=\"audited\")\nfn f() {}\n");
+        let p = parse(concat!(
+            "// deepsd-lint: allow(panic-reach, reason=\"audited\")\n",
+            "fn f() {}\n",
+            "// deepsd-lint: allow(panic-reach)\n",
+            "// deepsd-lint: allow(no-such-rule, reason=\"x\")\n",
+            "// deepsd-lint: deny(panic-reach)\n",
+        ));
         assert_eq!(p.allows, vec![("panic-reach".to_string(), 1)]);
+        // Malformed directives suppress nothing and are reported instead.
+        let bad: Vec<u32> = p.bad_directives.iter().map(|(l, _)| *l).collect();
+        assert_eq!(bad, vec![3, 4, 5]);
     }
 
     #[test]

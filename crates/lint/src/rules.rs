@@ -1,10 +1,9 @@
-//! The repo-invariant rules and the engine that applies them to one
-//! file at a time.
+//! The per-file rules, applied to one parsed file at a time.
 //!
-//! Every rule is a named pattern over the lexed token stream
-//! ([`crate::lexer`]), scoped to the files where the invariant matters
-//! (DESIGN.md §4.5). Findings can be suppressed with an inline
-//! directive on the same or the preceding line:
+//! Every rule is a named pattern over the file's token stream or the
+//! per-fn facts that [`crate::parse`] extracts, scoped to the files where
+//! the invariant matters (DESIGN.md §4.5). Findings can be suppressed
+//! with an inline directive on the same or the preceding line:
 //!
 //! ```text
 //! // deepsd-lint: allow(rule-name, reason="why this site is safe")
@@ -13,14 +12,13 @@
 //! A directive without a rule name or a non-empty reason is itself a
 //! finding (`lint-directive`), so suppressions stay auditable.
 //! `#[cfg(test)]` items are skipped entirely: tests legitimately
-//! unwrap, compare floats exactly and index slices.
+//! compare floats exactly and subtract freely.
 
-use crate::lexer::{lex, Comment, Tok, TokKind};
+use crate::lexer::{Tok, TokKind};
+use crate::parse::{is_keyword, ParsedFile, TaintKind};
 
 /// Rule names, in the order findings are reported per line.
-pub const RULE_DETERMINISM_MAP_ITER: &str = "determinism-map-iter";
 pub const RULE_DETERMINISM_WALLCLOCK: &str = "determinism-wallclock";
-pub const RULE_SERVING_NO_PANIC: &str = "serving-no-panic";
 pub const RULE_ARITH_UNDERFLOW: &str = "arith-underflow";
 pub const RULE_FLOAT_EQ: &str = "float-eq";
 pub const RULE_CAST_TRUNCATE: &str = "cast-truncate";
@@ -37,9 +35,7 @@ pub const RULE_LINT_DIRECTIVE: &str = "lint-directive";
 /// `unsafe-scope` is suppressible only inside [`UNSAFE_ALLOWED_FILES`];
 /// elsewhere the directive parses but the finding stands.
 pub const RULES: &[&str] = &[
-    RULE_DETERMINISM_MAP_ITER,
     RULE_DETERMINISM_WALLCLOCK,
-    RULE_SERVING_NO_PANIC,
     RULE_ARITH_UNDERFLOW,
     RULE_FLOAT_EQ,
     RULE_CAST_TRUNCATE,
@@ -53,14 +49,6 @@ pub const RULES: &[&str] = &[
 /// self-documenting.
 pub fn explain(rule: &str) -> Option<&'static str> {
     match rule {
-        RULE_DETERMINISM_MAP_ITER => Some(
-            "Iterating a HashMap/HashSet visits entries in the hasher's order, which \
-             varies between processes. In a determinism-critical module (gradient \
-             reduction, trainer, telemetry snapshot) that order leaks into results and \
-             breaks the repo's bit-identity contract (same seed → same bytes at any \
-             worker count). Fix: collect and sort the keys first, or use a \
-             BTreeMap/BTreeSet. Scope: nn/{shard,tape,optim}, core/{trainer,telemetry}.",
-        ),
         RULE_DETERMINISM_WALLCLOCK => Some(
             "Instant::now/SystemTime reads outside the telemetry `time_` namespace let \
              real time influence deterministic code. Wall-clock readings are fine when \
@@ -68,14 +56,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              from the deterministic snapshot) or in the sanctioned modules \
              (crates/bench, crates/lint, crates/serve/src/deadline.rs). Fix: route \
              timing through a `time_` metric or the Deadline/Stopwatch helpers.",
-        ),
-        RULE_SERVING_NO_PANIC => Some(
-            "Code on the serving hot path must degrade, never panic: a panic in a \
-             handler kills the connection (or the daemon) instead of returning a \
-             status code. unwrap/expect, panic!-family macros and direct indexing are \
-             flagged in core/serving.rs, features/{online,feeds}.rs and all of \
-             crates/serve. Fix: .get() with a degraded fallback, typed errors, or an \
-             audited allow with a reason proving the site cannot fire.",
         ),
         RULE_ARITH_UNDERFLOW => Some(
             "Bare `-` between (likely unsigned) integers on a serving path panics in \
@@ -90,9 +70,9 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         ),
         RULE_CAST_TRUNCATE => Some(
             "`as u8/u16/u32/usize` in index arithmetic silently truncates out-of-range \
-             values. In the audited files (features/{index,stream}.rs, crates/simdata) \
-             use try_from with a typed error, a widening From conversion, or document \
-             the bound with an allow.",
+             values. In the audited files (features/index.rs, crates/simdata) use \
+             try_from with a typed error, a widening From conversion, or document the \
+             bound with an allow.",
         ),
         RULE_UNSAFE_SCOPE => Some(
             "`unsafe` is confined to the audited AVX2 microkernel (nn/kernels.rs) and \
@@ -102,15 +82,15 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         ),
         RULE_PANIC_REACH => Some(
             "Interprocedural panic-reachability (DESIGN.md §4.10): the workspace call \
-             graph is walked from the serving entry points (crates/serve handlers and \
-             engine, OnlinePredictor::{observe*,predict*}, the ShadowTrainer round \
-             path). Any reachable fn still containing a panic site — unwrap/expect, \
-             panic!-family, direct indexing — is reported with the shortest call chain \
-             from the nearest entry, so a helper in deepsd-nn that a handler reaches \
+             graph is walked from the serving entry points (every fn in crates/serve, \
+             OnlinePredictor::{observe*,predict*}, the ShadowTrainer round path). Any \
+             reachable fn still containing a panic site — unwrap/expect, panic!-family, \
+             direct indexing — is reported with the shortest call chain from the \
+             nearest entry, so a helper in deepsd-nn that a handler reaches \
              transitively no longer sails through. Fix: degrade at the site, or audit \
-             the containing fn with allow(panic-reach, reason=…) when the site \
-             provably cannot fire; site-level allow(serving-no-panic) audits carry \
-             over. Trait dispatch and fn pointers are over-approximated by name.",
+             the site or the containing fn with allow(panic-reach, reason=…) when the \
+             site provably cannot fire. Trait dispatch and fn pointers are \
+             over-approximated by name.",
         ),
         RULE_DETERMINISM_TAINT => Some(
             "Interprocedural determinism taint (DESIGN.md §4.10): wall-clock reads, \
@@ -121,7 +101,8 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              order or the environment, breaking the promotions-are-a-pure-function-of-\
              the-stream contract. Sanitizers: publishing a `time_…` metric in the \
              same fn (wall-clock only) or an audited allow(determinism-taint, \
-             reason=…); per-file determinism-rule allows carry over.",
+             reason=…); a site-level allow(determinism-wallclock) carries over to the \
+             wall-clock read it audits.",
         ),
         RULE_LOCK_ORDER => Some(
             "Interprocedural lock-order analysis (DESIGN.md §4.10): every \
@@ -141,31 +122,17 @@ pub fn explain(rule: &str) -> Option<&'static str> {
     }
 }
 
-/// Modules where `HashMap`/`HashSet` iteration order would leak into
-/// gradients, update order or the telemetry snapshot.
-const DETERMINISM_MODULES: &[&str] = &[
-    "crates/nn/src/shard.rs",
-    "crates/nn/src/tape.rs",
-    "crates/nn/src/optim.rs",
-    "crates/core/src/trainer.rs",
-    "crates/core/src/telemetry.rs",
-];
-
-/// Serving hot paths: code on the request path must degrade, not panic.
+/// Serving hot paths: slot and lag arithmetic there must not underflow.
+/// The whole serving daemon is a hot path too ([`SERVING_PATHS_PREFIX`]).
 const SERVING_PATHS: &[&str] = &[
     "crates/core/src/serving.rs",
     "crates/features/src/online.rs",
     "crates/features/src/feeds.rs",
 ];
-/// The whole serving daemon is a hot path: every connection handler and
-/// the batching engine must answer with a status code, never a panic.
 const SERVING_PATHS_PREFIX: &[&str] = &["crates/serve/src/"];
 
 /// Files where narrowing casts in index arithmetic are audited.
-const CAST_PATHS_EXACT: &[&str] = &[
-    "crates/features/src/index.rs",
-    "crates/features/src/stream.rs",
-];
+const CAST_PATHS_EXACT: &[&str] = &["crates/features/src/index.rs"];
 const CAST_PATHS_PREFIX: &[&str] = &["crates/simdata/src/"];
 
 /// The only files where `unsafe` is sanctioned: the audited AVX2
@@ -184,20 +151,6 @@ const WALLCLOCK_ALLOWLIST_PREFIX: &[&str] = &["crates/bench/", "crates/lint/"];
 /// everything else must go through these helpers or `time_` metrics).
 const WALLCLOCK_ALLOWLIST_EXACT: &[&str] = &["crates/serve/src/deadline.rs"];
 
-/// Map-iteration methods whose order is the hasher's.
-const MAP_ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "drain",
-    "retain",
-];
-
 /// One finding. `line` is 1-based.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
@@ -214,43 +167,37 @@ impl Finding {
     }
 }
 
-/// A parsed `deepsd-lint: allow(rule, reason="…")` directive.
-struct Allow {
-    rule: String,
-    line: u32,
-}
+/// Runs the per-file rules over one parsed file. Its path must be the
+/// workspace-relative path with `/` separators — rules scope on it.
+pub fn lint_file(pf: &ParsedFile) -> Vec<Finding> {
+    let path = pf.file.as_str();
+    let (toks, skip) = (&pf.tokens, &pf.test_mask);
+    let mut findings: Vec<Finding> = pf
+        .bad_directives
+        .iter()
+        .map(|(line, why)| Finding {
+            rule: RULE_LINT_DIRECTIVE,
+            path: path.to_string(),
+            line: *line,
+            msg: why.clone(),
+        })
+        .collect();
 
-/// Lints one file. `path` must be the workspace-relative path with `/`
-/// separators — rules scope on it.
-pub fn lint_file(path: &str, src: &str) -> Vec<Finding> {
-    let lexed = lex(src);
-    let mut findings = Vec::new();
-
-    let (allows, mut directive_findings) = parse_directives(path, &lexed.comments);
-    findings.append(&mut directive_findings);
-
-    let skip = test_code_mask(&lexed.tokens);
-    let toks = &lexed.tokens;
-
-    if DETERMINISM_MODULES.contains(&path) {
-        rule_map_iter(path, toks, &skip, &mut findings);
-    }
     if !WALLCLOCK_ALLOWLIST_PREFIX
         .iter()
         .any(|p| path.starts_with(p))
         && !WALLCLOCK_ALLOWLIST_EXACT.contains(&path)
     {
-        rule_wallclock(path, toks, &skip, &mut findings);
+        rule_wallclock(pf, &mut findings);
     }
     if SERVING_PATHS.contains(&path) || SERVING_PATHS_PREFIX.iter().any(|p| path.starts_with(p)) {
-        rule_no_panic(path, toks, &skip, &mut findings);
-        rule_arith_underflow(path, toks, &skip, &mut findings);
+        rule_arith_underflow(path, toks, skip, &mut findings);
     }
-    rule_float_eq(path, toks, &skip, &mut findings);
+    rule_float_eq(path, toks, skip, &mut findings);
     if CAST_PATHS_EXACT.contains(&path) || CAST_PATHS_PREFIX.iter().any(|p| path.starts_with(p)) {
-        rule_cast_truncate(path, toks, &skip, &mut findings);
+        rule_cast_truncate(path, toks, skip, &mut findings);
     }
-    rule_unsafe_scope(path, toks, &skip, &mut findings);
+    rule_unsafe_scope(path, toks, skip, &mut findings);
 
     // Apply suppressions: a directive covers its own line and the next.
     // `unsafe-scope` findings outside the sanctioned files are
@@ -262,396 +209,34 @@ pub fn lint_file(path: &str, src: &str) -> Vec<Finding> {
         if f.rule == RULE_UNSAFE_SCOPE && !UNSAFE_ALLOWED_FILES.contains(&path) {
             return true;
         }
-        !allows
+        !pf.allows
             .iter()
-            .any(|a| a.rule == f.rule && (f.line == a.line || f.line == a.line + 1))
+            .any(|(rule, line)| rule == f.rule && (f.line == *line || f.line == line + 1))
     });
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     findings
 }
 
-/// Parses allow directives out of the comment stream. Malformed
-/// directives become `lint-directive` findings.
-fn parse_directives(path: &str, comments: &[Comment]) -> (Vec<Allow>, Vec<Finding>) {
-    let mut allows = Vec::new();
-    let mut findings = Vec::new();
-    for c in comments {
-        // Anchor to the start of the comment so prose (and the doc
-        // examples in this crate) that merely *mentions* the directive
-        // syntax is not parsed as one.
-        let Some(rest) = c.text.trim_start().strip_prefix("deepsd-lint:") else {
-            continue;
-        };
-        let rest = rest.trim();
-        match parse_allow(rest) {
-            Ok(rule) => allows.push(Allow { rule, line: c.line }),
-            Err(why) => findings.push(Finding {
-                rule: RULE_LINT_DIRECTIVE,
-                path: path.to_string(),
-                line: c.line,
-                msg: why,
-            }),
-        }
-    }
-    (allows, findings)
-}
-
-/// Parses `allow(rule, reason="…")`, returning the rule name.
-fn parse_allow(s: &str) -> Result<String, String> {
-    let body = s
-        .strip_prefix("allow(")
-        .and_then(|r| r.rfind(')').map(|end| &r[..end]))
-        .ok_or_else(|| "directive must be allow(rule, reason=\"…\")".to_string())?;
-    let (rule, rest) = match body.split_once(',') {
-        Some((r, rest)) => (r.trim(), rest.trim()),
-        None => (body.trim(), ""),
-    };
-    if !RULES.contains(&rule) {
-        return Err(format!("unknown rule '{rule}' in allow directive"));
-    }
-    let reason = rest
-        .strip_prefix("reason=")
-        .map(|r| r.trim().trim_matches('"').trim())
-        .unwrap_or("");
-    if reason.is_empty() {
-        return Err(format!("allow({rule}) needs a non-empty reason=\"…\""));
-    }
-    Ok(rule.to_string())
-}
-
-/// Marks the token ranges belonging to `#[cfg(test)]` items (true =
-/// skip). The item is either the next balanced `{…}` block or, for
-/// block-less items, everything up to the `;`.
-fn test_code_mask(toks: &[Tok]) -> Vec<bool> {
-    let mut skip = vec![false; toks.len()];
-    let mut i = 0usize;
-    while i + 6 < toks.len() {
-        let is_cfg_test = toks[i].is_punct("#")
-            && toks[i + 1].is_punct("[")
-            && toks[i + 2].is_ident("cfg")
-            && toks[i + 3].is_punct("(")
-            && toks[i + 4].is_ident("test")
-            && toks[i + 5].is_punct(")")
-            && toks[i + 6].is_punct("]");
-        if !is_cfg_test {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        let mut j = i + 7;
-        let mut depth = 0i32;
-        let mut entered_block = false;
-        while j < toks.len() {
-            let t = &toks[j];
-            if t.kind == TokKind::Punct {
-                match t.text.as_str() {
-                    "{" => {
-                        depth += 1;
-                        entered_block = true;
-                    }
-                    "}" => {
-                        depth -= 1;
-                        if entered_block && depth == 0 {
-                            break;
-                        }
-                    }
-                    ";" if depth == 0 => break,
-                    _ => {}
-                }
-            }
-            j += 1;
-        }
-        for flag in skip.iter_mut().take((j + 1).min(toks.len())).skip(start) {
-            *flag = true;
-        }
-        i = j + 1;
-    }
-    skip
-}
-
-/// Body spans of `fn` items/closures, for "is there a `time_` metric in
-/// this function" checks. Returns `(start_tok, end_tok)` pairs.
-fn fn_spans(toks: &[Tok]) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let mut stack: Vec<(usize, i32)> = Vec::new();
-    let mut depth = 0i32;
-    let mut pending_fn: Option<usize> = None;
-    for (i, t) in toks.iter().enumerate() {
-        if t.is_ident("fn") {
-            pending_fn = Some(i);
-            continue;
-        }
-        if t.kind != TokKind::Punct {
-            continue;
-        }
-        match t.text.as_str() {
-            "{" => {
-                depth += 1;
-                if let Some(start) = pending_fn.take() {
-                    stack.push((start, depth));
-                }
-            }
-            "}" => {
-                if let Some(&(start, d)) = stack.last() {
-                    if d == depth {
-                        spans.push((start, i));
-                        stack.pop();
-                    }
-                }
-                depth -= 1;
-            }
-            ";" => {
-                // `fn` declaration without a body (trait method).
-                pending_fn = None;
-            }
-            _ => {}
-        }
-    }
-    spans
-}
-
-/// Innermost function span containing token `i`.
-fn enclosing_fn(spans: &[(usize, usize)], i: usize) -> Option<(usize, usize)> {
-    spans
+/// Wall-clock reads outside fns, and in fns that publish no `time_…`
+/// metric. The reads are the parser's `WallClock` taint sites, which
+/// already leave out `#[cfg(test)]` code.
+fn rule_wallclock(pf: &ParsedFile, out: &mut Vec<Finding>) {
+    let in_fns = pf
+        .fns
         .iter()
-        .filter(|(s, e)| *s <= i && i <= *e)
-        .min_by_key(|(s, e)| e - s)
-        .copied()
-}
-
-/// Identifiers bound to a `HashMap`/`HashSet` in this file: type
-/// ascriptions (`name: HashMap<…>`, `name: &mut HashMap<…>`) and
-/// constructor bindings (`let name = HashMap::new()`).
-fn map_idents(toks: &[Tok]) -> Vec<String> {
-    let mut names = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if !(t.is_ident("HashMap") || t.is_ident("HashSet")) {
-            continue;
-        }
-        // Walk back over `&`, `mut` and `::` path segments to a `:`.
-        let mut j = i;
-        while j > 0 {
-            let p = &toks[j - 1];
-            if p.is_punct("&") || p.is_ident("mut") || p.is_punct("::") || p.kind == TokKind::Ident
-            {
-                // Only path/ref tokens may sit between `:` and the type.
-                if p.kind == TokKind::Ident && !(p.is_ident("mut") || is_path_seg(toks, j - 1)) {
-                    break;
-                }
-                j -= 1;
-            } else {
-                break;
-            }
-        }
-        if j > 1 && toks[j - 1].is_punct(":") && toks[j - 2].kind == TokKind::Ident {
-            names.push(toks[j - 2].text.clone());
-            continue;
-        }
-        // `let [mut] name = HashMap…` / `= HashSet…`
-        if i >= 2 && toks[i - 1].is_punct("=") && toks[i - 2].kind == TokKind::Ident {
-            names.push(toks[i - 2].text.clone());
-        }
-    }
-    names.sort();
-    names.dedup();
-    names
-}
-
-/// True when ident token `i` is a path segment (followed by `::`).
-fn is_path_seg(toks: &[Tok], i: usize) -> bool {
-    toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
-}
-
-/// True when the iteration result is ordered before use: a `sort*` call
-/// or an ordered collection appears in the same statement or the one
-/// immediately following (`…collect(); keys.sort_unstable();`).
-fn sorted_downstream(toks: &[Tok], i: usize) -> bool {
-    let mut semis = 0usize;
-    for t in toks.iter().skip(i).take(80) {
-        if t.is_punct(";") {
-            semis += 1;
-            if semis == 2 {
-                return false;
-            }
-            continue;
-        }
-        if t.is_punct("}") {
-            return false;
-        }
-        if t.kind == TokKind::Ident
-            && (t.text.starts_with("sort") || t.text == "BTreeMap" || t.text == "BTreeSet")
-        {
-            return true;
-        }
-    }
-    false
-}
-
-fn rule_map_iter(path: &str, toks: &[Tok], skip: &[bool], out: &mut Vec<Finding>) {
-    let maps = map_idents(toks);
-    if maps.is_empty() {
-        return;
-    }
-    let is_map = |t: &Tok| t.kind == TokKind::Ident && maps.contains(&t.text);
-    for i in 0..toks.len() {
-        if skip[i] {
-            continue;
-        }
-        // `map.iter()` / `self.map.keys()` …
-        if i >= 2
-            && toks[i].kind == TokKind::Ident
-            && MAP_ITER_METHODS.contains(&toks[i].text.as_str())
-            && toks[i - 1].is_punct(".")
-            && is_map(&toks[i - 2])
-            && toks.get(i + 1).is_some_and(|t| t.is_punct("("))
-            && !sorted_downstream(toks, i)
-        {
-            out.push(Finding {
-                rule: RULE_DETERMINISM_MAP_ITER,
-                path: path.to_string(),
-                line: toks[i].line,
-                msg: format!(
-                    "iteration over hash-ordered `{}.{}()` in a determinism-critical module; sort the entries first or use a BTreeMap",
-                    toks[i - 2].text, toks[i].text
-                ),
-            });
-        }
-        // `for … in &map` / `for … in map`
-        if toks[i].is_ident("in") {
-            for j in (i + 1)..toks.len().min(i + 8) {
-                if toks[j].kind == TokKind::Punct && (toks[j].text == "{" || toks[j].text == ";") {
-                    break;
-                }
-                if is_map(&toks[j])
-                    && !toks.get(j + 1).is_some_and(|t| t.is_punct("."))
-                    && !sorted_downstream(toks, j)
-                {
-                    out.push(Finding {
-                        rule: RULE_DETERMINISM_MAP_ITER,
-                        path: path.to_string(),
-                        line: toks[j].line,
-                        msg: format!(
-                            "`for … in {}` iterates in hash order in a determinism-critical module; sort the entries first or use a BTreeMap",
-                            toks[j].text
-                        ),
-                    });
-                    break;
-                }
-            }
-        }
-    }
-}
-
-fn rule_wallclock(path: &str, toks: &[Tok], skip: &[bool], out: &mut Vec<Finding>) {
-    let spans = fn_spans(toks);
-    let fn_has_time_metric = |i: usize| -> bool {
-        let Some((s, e)) = enclosing_fn(&spans, i) else {
-            return false;
-        };
-        toks[s..=e]
-            .iter()
-            .any(|t| t.kind == TokKind::Str && t.text.starts_with("time_"))
-    };
-    for i in 0..toks.len() {
-        if skip[i] {
-            continue;
-        }
-        let hit = (toks[i].is_ident("Instant")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct("::"))
-            && toks.get(i + 2).is_some_and(|t| t.is_ident("now")))
-            || (toks[i].is_ident("SystemTime") && !is_path_seg_use(toks, i));
-        if hit && !fn_has_time_metric(i) {
-            out.push(Finding {
-                rule: RULE_DETERMINISM_WALLCLOCK,
-                path: path.to_string(),
-                line: toks[i].line,
-                msg: format!(
-                    "`{}` wall-clock read outside the telemetry `time_` namespace; deterministic code must not branch on real time",
-                    toks[i].text
-                ),
-            });
-        }
-    }
-}
-
-/// True for `SystemTime` appearing only in a `use …;` item.
-fn is_path_seg_use(toks: &[Tok], i: usize) -> bool {
-    // Walk back to the statement start; a leading `use` makes this an
-    // import, which is harmless until the type is actually used.
-    let mut j = i;
-    while j > 0 && !toks[j - 1].is_punct(";") && !toks[j - 1].is_punct("{") {
-        j -= 1;
-        if toks[j].is_ident("use") {
-            return true;
-        }
-    }
-    false
-}
-
-fn rule_no_panic(path: &str, toks: &[Tok], skip: &[bool], out: &mut Vec<Finding>) {
-    const PANIC_MACROS: &[&str] = &[
-        "panic",
-        "unreachable",
-        "todo",
-        "unimplemented",
-        "assert",
-        "assert_eq",
-        "assert_ne",
-    ];
-    for i in 0..toks.len() {
-        if skip[i] {
-            continue;
-        }
-        let t = &toks[i];
-        // `.unwrap()` / `.expect(`
-        if i >= 1
-            && t.kind == TokKind::Ident
-            && (t.text == "unwrap" || t.text == "expect")
-            && toks[i - 1].is_punct(".")
-            && toks.get(i + 1).is_some_and(|p| p.is_punct("("))
-        {
-            out.push(Finding {
-                rule: RULE_SERVING_NO_PANIC,
-                path: path.to_string(),
-                line: t.line,
-                msg: format!(
-                    "`.{}()` on a serving hot path; return a typed error or degrade via FeedStatus instead",
-                    t.text
-                ),
-            });
-        }
-        // `panic!`, `unreachable!`, `assert!` …
-        if t.kind == TokKind::Ident
-            && PANIC_MACROS.contains(&t.text.as_str())
-            && toks.get(i + 1).is_some_and(|p| p.is_punct("!"))
-        {
-            out.push(Finding {
-                rule: RULE_SERVING_NO_PANIC,
-                path: path.to_string(),
-                line: t.line,
-                msg: format!(
-                    "`{}!` on a serving hot path; degrade instead of panicking",
-                    t.text
-                ),
-            });
-        }
-        // Direct indexing `expr[…]`: `[` directly after an identifier or
-        // a closing `)`/`]`. Macro brackets (`vec![`) and attributes
-        // (`#[…]`) don't match this shape.
-        if t.is_punct("[") && i >= 1 {
-            let p = &toks[i - 1];
-            let indexable = (p.kind == TokKind::Ident && !is_keyword(&p.text))
-                || p.is_punct(")")
-                || p.is_punct("]");
-            if indexable {
-                out.push(Finding {
-                    rule: RULE_SERVING_NO_PANIC,
-                    path: path.to_string(),
-                    line: t.line,
-                    msg: "direct slice indexing on a serving hot path can panic; use .get()/.get_mut() with a degraded fallback".to_string(),
-                });
-            }
-        }
+        .filter(|f| !f.has_time_metric)
+        .flat_map(|f| f.taints.iter().filter(|s| s.kind == TaintKind::WallClock));
+    for s in pf.item_wallclock.iter().chain(in_fns) {
+        // Name the type (`Instant`, `SystemTime`), not the method.
+        let ty = s.what.split("::").next().unwrap_or_default();
+        out.push(Finding {
+            rule: RULE_DETERMINISM_WALLCLOCK,
+            path: pf.file.clone(),
+            line: s.line,
+            msg: format!(
+                "`{ty}` wall-clock read outside the telemetry `time_` namespace; deterministic code must not branch on real time"
+            ),
+        });
     }
 }
 
@@ -696,15 +281,6 @@ fn rule_arith_underflow(path: &str, toks: &[Tok], skip: &[bool], out: &mut Vec<F
             msg: "unchecked `-` between (likely unsigned) integer expressions on a serving path can underflow — debug panic, release wrap; use checked_sub/saturating_sub or an audited allow".to_string(),
         });
     }
-}
-
-/// Keywords that may directly precede a `[` without forming an index
-/// expression (`return [a, b]`, `break [..]` are arrays).
-fn is_keyword(s: &str) -> bool {
-    matches!(
-        s,
-        "return" | "break" | "in" | "if" | "else" | "match" | "as" | "mut" | "ref" | "move"
-    )
 }
 
 fn rule_float_eq(path: &str, toks: &[Tok], skip: &[bool], out: &mut Vec<Finding>) {
@@ -798,75 +374,29 @@ fn rule_unsafe_scope(path: &str, toks: &[Tok], skip: &[bool], out: &mut Vec<Find
     }
 }
 
+/// Every exact file and directory prefix the per-file rules scope on.
+#[cfg(test)]
+pub const SCOPE_PATHS: &[&[&str]] = &[
+    SERVING_PATHS,
+    SERVING_PATHS_PREFIX,
+    CAST_PATHS_EXACT,
+    CAST_PATHS_PREFIX,
+    UNSAFE_ALLOWED_FILES,
+    WALLCLOCK_ALLOWLIST_PREFIX,
+    WALLCLOCK_ALLOWLIST_EXACT,
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse::parse_file;
+
+    fn lint(path: &str, src: &str) -> Vec<Finding> {
+        lint_file(&parse_file(path, src))
+    }
 
     fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
         findings.iter().map(|f| f.rule).collect()
-    }
-
-    // --- determinism-map-iter -------------------------------------------
-
-    #[test]
-    fn map_iteration_flagged_in_determinism_module() {
-        let src = r#"
-            use std::collections::HashMap;
-            fn reduce(grads: &HashMap<u32, f32>) -> f32 {
-                let mut acc = 0.0;
-                for (_, g) in grads.iter() { acc += g; }
-                acc
-            }
-        "#;
-        let f = lint_file("crates/nn/src/optim.rs", src);
-        assert_eq!(rules_of(&f), vec![RULE_DETERMINISM_MAP_ITER]);
-    }
-
-    #[test]
-    fn sorted_map_iteration_is_allowed() {
-        let src = r#"
-            use std::collections::HashMap;
-            fn reduce(grads: &HashMap<u32, f32>) -> Vec<u32> {
-                let mut keys: Vec<u32> = grads.keys().copied().collect::<Vec<_>>();
-                keys.sort_unstable();
-                keys
-            }
-        "#;
-        let f = lint_file("crates/nn/src/optim.rs", src);
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn for_in_map_flagged() {
-        let src = r#"
-            use std::collections::HashMap;
-            fn dump(m: HashMap<String, u64>) {
-                for k in &m { let _ = k; }
-            }
-        "#;
-        let f = lint_file("crates/core/src/telemetry.rs", src);
-        assert_eq!(rules_of(&f), vec![RULE_DETERMINISM_MAP_ITER]);
-    }
-
-    #[test]
-    fn map_iteration_ignored_outside_scope() {
-        let src = r#"
-            use std::collections::HashMap;
-            fn dump(m: &HashMap<String, u64>) { for k in m.keys() { let _ = k; } }
-        "#;
-        assert!(lint_file("crates/features/src/extract.rs", src).is_empty());
-    }
-
-    #[test]
-    fn vec_iteration_not_confused_with_map() {
-        let src = r#"
-            use std::collections::HashMap;
-            fn ok(v: &Vec<f32>, lookup: &HashMap<u32, f32>) -> f32 {
-                v.iter().map(|x| lookup.get(&(*x as u32)).copied().unwrap_or(0.0)).sum()
-            }
-        "#;
-        let f = lint_file("crates/nn/src/tape.rs", src);
-        assert!(f.is_empty(), "{f:?}");
     }
 
     // --- determinism-wallclock ------------------------------------------
@@ -875,9 +405,14 @@ mod tests {
     fn instant_now_flagged_outside_time_namespace() {
         let src = r#"
             fn seed() -> u64 { let t = std::time::Instant::now(); 0 }
+            static STARTED: LazyLock<Instant> = LazyLock::new(|| Instant::now());
         "#;
-        let f = lint_file("crates/core/src/trainer.rs", src);
-        assert_eq!(rules_of(&f), vec![RULE_DETERMINISM_WALLCLOCK]);
+        let f = lint("crates/core/src/trainer.rs", src);
+        // The static initializer is outside every fn and still a read.
+        assert_eq!(
+            rules_of(&f),
+            vec![RULE_DETERMINISM_WALLCLOCK, RULE_DETERMINISM_WALLCLOCK]
+        );
     }
 
     #[test]
@@ -889,100 +424,53 @@ mod tests {
                 tel.observe("time_epoch_seconds", started.elapsed().as_secs_f64());
             }
         "#;
-        assert!(lint_file("crates/core/src/trainer.rs", src).is_empty());
+        assert!(lint("crates/core/src/trainer.rs", src).is_empty());
     }
 
     #[test]
     fn bench_crate_is_wallclock_allowlisted() {
         let src = "fn t() { let x = std::time::Instant::now(); }";
-        assert!(lint_file("crates/bench/src/harness.rs", src).is_empty());
+        assert!(lint("crates/bench/src/harness.rs", src).is_empty());
     }
 
     #[test]
     fn system_time_flagged_but_import_is_not() {
         let src = r#"
             use std::time::SystemTime;
+            use std::time::{Duration, SystemTime as St};
             fn stamp() -> SystemTime { SystemTime::now() }
+            fn age() -> u64 { SystemTime::UNIX_EPOCH.elapsed().map_or(0, |d| d.as_secs()) }
         "#;
-        let f = lint_file("crates/features/src/extract.rs", src);
+        let f = lint("crates/features/src/extract.rs", src);
+        // The imports are exempt; the return type and both uses in the
+        // bodies are not.
         assert!(f.iter().all(|x| x.rule == RULE_DETERMINISM_WALLCLOCK));
-        // The `use` line is exempt; the two uses inside `stamp` are not.
-        assert_eq!(f.len(), 2, "{f:?}");
-    }
-
-    // --- serving-no-panic -----------------------------------------------
-
-    #[test]
-    fn unwrap_and_panic_flagged_on_serving_path() {
-        let src = r#"
-            fn hot(v: &[f32]) -> f32 {
-                let x = v.first().unwrap();
-                if v.len() > 9 { panic!("too many"); }
-                *x
-            }
-        "#;
-        let f = lint_file("crates/core/src/serving.rs", src);
-        assert_eq!(
-            rules_of(&f),
-            vec![RULE_SERVING_NO_PANIC, RULE_SERVING_NO_PANIC]
+        let lines: Vec<u32> = f.iter().map(|x| x.line).collect();
+        assert_eq!(lines, vec![4, 4, 5], "{f:?}");
+        assert!(
+            f[0].msg.starts_with("`SystemTime` wall-clock read"),
+            "{f:?}"
         );
     }
 
     #[test]
-    fn direct_indexing_flagged_but_arrays_and_attrs_are_not() {
-        let src = r#"
-            #[derive(Debug)]
-            struct S { xs: Vec<f32> }
-            fn hot(s: &S, i: usize) -> f32 {
-                let table = [1.0f32, 2.0];
-                let v = vec![0.0f32; 4];
-                s.xs[i]
-            }
-        "#;
-        let f = lint_file("crates/features/src/online.rs", src);
-        assert_eq!(rules_of(&f), vec![RULE_SERVING_NO_PANIC]);
-        assert!(f[0].msg.contains("indexing"));
-    }
-
-    #[test]
-    fn get_based_access_is_clean() {
-        let src = r#"
-            fn hot(v: &[f32], i: usize) -> f32 { v.get(i).copied().unwrap_or(0.0) }
-        "#;
-        let f = lint_file("crates/features/src/feeds.rs", src);
-        // `.unwrap_or` is not `.unwrap` — no finding.
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn serve_crate_is_in_no_panic_scope() {
-        let src = r#"
-            fn route(paths: &[String], i: usize) -> String {
-                paths[i].clone()
-            }
-        "#;
-        let f = lint_file("crates/serve/src/server.rs", src);
-        assert_eq!(rules_of(&f), vec![RULE_SERVING_NO_PANIC]);
-    }
-
-    #[test]
-    fn serve_deadline_module_is_wallclock_exempt_but_not_panic_exempt() {
+    fn serve_deadline_module_is_wallclock_exempt_but_not_underflow_exempt() {
         let src = r#"
             fn remaining(at: std::time::Instant) -> std::time::Duration {
                 at.saturating_duration_since(std::time::Instant::now())
             }
-            fn bad(v: &[u8]) -> u8 { v.first().copied().unwrap() }
+            fn bad(a: u32, b: u32) -> u32 { a - b }
         "#;
-        let f = lint_file("crates/serve/src/deadline.rs", src);
-        // The Instant reads pass (this is the sanctioned module); the
-        // unwrap is still a serving-no-panic finding.
-        assert_eq!(rules_of(&f), vec![RULE_SERVING_NO_PANIC]);
+        let f = lint("crates/serve/src/deadline.rs", src);
+        // The Instant read passes (this is the sanctioned module); the
+        // subtraction is still an arith-underflow finding.
+        assert_eq!(rules_of(&f), vec![RULE_ARITH_UNDERFLOW]);
     }
 
     #[test]
     fn serve_crate_outside_deadline_is_wallclock_scoped() {
         let src = "fn f() { let t = std::time::Instant::now(); }";
-        let f = lint_file("crates/serve/src/engine.rs", src);
+        let f = lint("crates/serve/src/engine.rs", src);
         assert!(
             f.iter().any(|x| x.rule == RULE_DETERMINISM_WALLCLOCK),
             "{f:?}"
@@ -990,22 +478,24 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_outside_serving_scope_ignored() {
-        let src = "fn f(v: Vec<u8>) -> u8 { v.first().copied().unwrap() }";
-        assert!(lint_file("crates/simdata/src/orders.rs", src).is_empty());
-    }
-
-    #[test]
     fn test_modules_are_skipped() {
         let src = r#"
-            fn prod(v: &[f32]) -> f32 { v.iter().sum() }
+            fn prod(v: &[f32]) -> f32 {
+                #[cfg(test)]
+                let t = std::time::Instant::now();
+                v.iter().sum()
+            }
             #[cfg(test)]
             mod tests {
                 #[test]
-                fn t() { let v = vec![1.0f32]; assert_eq!(v[0].max(0.0), v[0]); v.first().unwrap(); }
+                fn t() {
+                    let t = std::time::Instant::now();
+                    let (a, b) = (3u32, 1u32);
+                    assert!(a - b == 2 && 0.5f32 == 0.5);
+                }
             }
         "#;
-        assert!(lint_file("crates/core/src/serving.rs", src).is_empty());
+        assert!(lint("crates/core/src/serving.rs", src).is_empty());
     }
 
     // --- arith-underflow ------------------------------------------------
@@ -1013,7 +503,7 @@ mod tests {
     #[test]
     fn unsigned_subtraction_flagged_on_serving_path() {
         let src = "fn slot(t: u16, ts: u16) -> usize { (t - ts) as usize }";
-        let f = lint_file("crates/features/src/online.rs", src);
+        let f = lint("crates/features/src/online.rs", src);
         assert_eq!(rules_of(&f), vec![RULE_ARITH_UNDERFLOW]);
     }
 
@@ -1024,7 +514,7 @@ mod tests {
                 t.saturating_sub(ts) as usize + t.checked_sub(1).unwrap_or(0) as usize
             }
         "#;
-        let f = lint_file("crates/features/src/feeds.rs", src);
+        let f = lint("crates/features/src/feeds.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
 
@@ -1036,16 +526,16 @@ mod tests {
             fn h(x: i32) -> i32 { -x }
             fn k(x: f64) -> f64 { x - f64::EPSILON }
         "#;
-        let f = lint_file("crates/features/src/online.rs", src);
+        let f = lint("crates/features/src/online.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
 
     #[test]
     fn underflow_rule_scoped_to_serving_files() {
         let src = "fn f(a: u32, b: u32) -> u32 { a - b }";
-        assert!(lint_file("crates/nn/src/matrix.rs", src).is_empty());
+        assert!(lint("crates/nn/src/matrix.rs", src).is_empty());
         assert_eq!(
-            rules_of(&lint_file("crates/serve/src/engine.rs", src)),
+            rules_of(&lint("crates/serve/src/engine.rs", src)),
             vec![RULE_ARITH_UNDERFLOW]
         );
     }
@@ -1058,7 +548,7 @@ mod tests {
                 a - b
             }
         "#;
-        assert!(lint_file("crates/core/src/serving.rs", src).is_empty());
+        assert!(lint("crates/core/src/serving.rs", src).is_empty());
     }
 
     #[test]
@@ -1069,7 +559,7 @@ mod tests {
                 fn f(a: u32, b: u32) -> u32 { a - b }
             }
         "#;
-        assert!(lint_file("crates/features/src/online.rs", src).is_empty());
+        assert!(lint("crates/features/src/online.rs", src).is_empty());
     }
 
     // --- float-eq -------------------------------------------------------
@@ -1077,21 +567,21 @@ mod tests {
     #[test]
     fn float_literal_comparison_flagged_everywhere() {
         let src = "fn f(x: f32) -> bool { x == 1.0 }";
-        let f = lint_file("crates/baselines/src/tree.rs", src);
+        let f = lint("crates/baselines/src/tree.rs", src);
         assert_eq!(rules_of(&f), vec![RULE_FLOAT_EQ]);
     }
 
     #[test]
     fn float_const_comparison_flagged() {
         let src = "fn f(x: f64) -> bool { x != f64::INFINITY }";
-        let f = lint_file("crates/core/src/metrics.rs", src);
+        let f = lint("crates/core/src/metrics.rs", src);
         assert_eq!(rules_of(&f), vec![RULE_FLOAT_EQ]);
     }
 
     #[test]
     fn integer_comparison_not_flagged() {
         let src = "fn f(x: usize) -> bool { x == 10 && x != 0 }";
-        assert!(lint_file("crates/core/src/metrics.rs", src).is_empty());
+        assert!(lint("crates/core/src/metrics.rs", src).is_empty());
     }
 
     // --- cast-truncate --------------------------------------------------
@@ -1099,14 +589,14 @@ mod tests {
     #[test]
     fn narrowing_cast_flagged_in_scope() {
         let src = "fn idx(day: u32, t: u32) -> u16 { (day * 1440 + t) as u16 }";
-        let f = lint_file("crates/simdata/src/types.rs", src);
+        let f = lint("crates/simdata/src/types.rs", src);
         assert_eq!(rules_of(&f), vec![RULE_CAST_TRUNCATE]);
     }
 
     #[test]
     fn narrowing_cast_ignored_outside_scope() {
         let src = "fn idx(day: u32) -> u16 { day as u16 }";
-        assert!(lint_file("crates/nn/src/matrix.rs", src).is_empty());
+        assert!(lint("crates/nn/src/matrix.rs", src).is_empty());
     }
 
     // --- directives -----------------------------------------------------
@@ -1114,36 +604,36 @@ mod tests {
     #[test]
     fn allow_directive_suppresses_next_line() {
         let src = r#"
-            fn hot(v: &[f32], i: usize) -> f32 {
-                // deepsd-lint: allow(serving-no-panic, reason="i is bounds-checked by the caller")
-                v[i]
+            fn hot(t: u32, i: u32) -> u32 {
+                // deepsd-lint: allow(arith-underflow, reason="i <= t is checked by the caller")
+                t - i
             }
         "#;
-        assert!(lint_file("crates/core/src/serving.rs", src).is_empty());
+        assert!(lint("crates/core/src/serving.rs", src).is_empty());
     }
 
     #[test]
     fn allow_directive_suppresses_same_line() {
         let src = r#"
-            fn hot(v: &[f32], i: usize) -> f32 {
-                v[i] // deepsd-lint: allow(serving-no-panic, reason="i < v.len() by construction")
+            fn hot(t: u32, i: u32) -> u32 {
+                t - i // deepsd-lint: allow(arith-underflow, reason="i <= t by construction")
             }
         "#;
-        assert!(lint_file("crates/core/src/serving.rs", src).is_empty());
+        assert!(lint("crates/core/src/serving.rs", src).is_empty());
     }
 
     #[test]
     fn allow_without_reason_is_a_finding() {
         let src = r#"
-            fn hot(v: &[f32], i: usize) -> f32 {
-                // deepsd-lint: allow(serving-no-panic)
-                v[i]
+            fn hot(t: u32, i: u32) -> u32 {
+                // deepsd-lint: allow(arith-underflow)
+                t - i
             }
         "#;
-        let f = lint_file("crates/core/src/serving.rs", src);
+        let f = lint("crates/core/src/serving.rs", src);
         assert!(f.iter().any(|x| x.rule == RULE_LINT_DIRECTIVE), "{f:?}");
-        // The un-suppressed indexing finding must survive too.
-        assert!(f.iter().any(|x| x.rule == RULE_SERVING_NO_PANIC));
+        // The un-suppressed subtraction finding must survive too.
+        assert!(f.iter().any(|x| x.rule == RULE_ARITH_UNDERFLOW));
     }
 
     #[test]
@@ -1151,13 +641,13 @@ mod tests {
         // Prose and doc examples that merely mention the syntax are not
         // directives: only comments that *start* with `deepsd-lint:`.
         let src = "//! example: // deepsd-lint: allow(rule, reason=\"…\")\nfn f() {}";
-        assert!(lint_file("crates/core/src/serving.rs", src).is_empty());
+        assert!(lint("crates/core/src/serving.rs", src).is_empty());
     }
 
     #[test]
     fn allow_with_unknown_rule_is_a_finding() {
         let src = "// deepsd-lint: allow(no-such-rule, reason=\"x\")\nfn f() {}";
-        let f = lint_file("crates/core/src/serving.rs", src);
+        let f = lint("crates/core/src/serving.rs", src);
         assert_eq!(rules_of(&f), vec![RULE_LINT_DIRECTIVE]);
     }
 
@@ -1165,11 +655,11 @@ mod tests {
     fn allow_does_not_cover_other_rules() {
         let src = r#"
             fn hot(x: f32) -> bool {
-                // deepsd-lint: allow(serving-no-panic, reason="not the right rule")
+                // deepsd-lint: allow(arith-underflow, reason="not the right rule")
                 x == 1.0
             }
         "#;
-        let f = lint_file("crates/core/src/serving.rs", src);
+        let f = lint("crates/core/src/serving.rs", src);
         assert_eq!(rules_of(&f), vec![RULE_FLOAT_EQ]);
     }
 
@@ -1182,7 +672,7 @@ mod tests {
                 unsafe { *p }
             }
         "#;
-        let f = lint_file("crates/core/src/trainer.rs", src);
+        let f = lint("crates/core/src/trainer.rs", src);
         assert_eq!(rules_of(&f), vec![RULE_UNSAFE_SCOPE]);
     }
 
@@ -1194,7 +684,7 @@ mod tests {
                 unsafe { *p }
             }
         "#;
-        let f = lint_file("crates/core/src/trainer.rs", src);
+        let f = lint("crates/core/src/trainer.rs", src);
         assert_eq!(rules_of(&f), vec![RULE_UNSAFE_SCOPE], "{f:?}");
     }
 
@@ -1205,7 +695,7 @@ mod tests {
                 unsafe { *p }
             }
         "#;
-        let f = lint_file("crates/nn/src/kernels.rs", src);
+        let f = lint("crates/nn/src/kernels.rs", src);
         assert_eq!(rules_of(&f), vec![RULE_UNSAFE_SCOPE]);
     }
 
@@ -1217,7 +707,7 @@ mod tests {
                 unsafe { *p }
             }
         "#;
-        let f = lint_file("crates/nn/src/kernels.rs", src);
+        let f = lint("crates/nn/src/kernels.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
 
@@ -1227,7 +717,7 @@ mod tests {
             // deepsd-lint: allow(unsafe-scope, reason="lifetime-only transmute, joined before expiry")
             unsafe fn erase(x: u32) -> u32 { x }
         "#;
-        let f = lint_file("crates/nn/src/shard.rs", src);
+        let f = lint("crates/nn/src/shard.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
 
@@ -1241,7 +731,7 @@ mod tests {
                 }
             }
         "#;
-        let f = lint_file("crates/core/src/trainer.rs", src);
+        let f = lint("crates/core/src/trainer.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
 
@@ -1251,7 +741,7 @@ mod tests {
             // unsafe is discussed here but never written
             fn f() -> &'static str { "unsafe" }
         "#;
-        let f = lint_file("crates/core/src/trainer.rs", src);
+        let f = lint("crates/core/src/trainer.rs", src);
         assert!(f.is_empty(), "{f:?}");
     }
 
@@ -1260,16 +750,15 @@ mod tests {
     #[test]
     fn output_is_deterministic() {
         let src = r#"
-            fn hot(v: &[f32], m: &std::collections::HashMap<u32, f32>) -> f32 {
+            fn hot(v: &[f32], i: usize, j: usize) -> f32 {
                 let t = std::time::Instant::now();
-                let a = v[0];
-                let b = v.first().unwrap();
-                if a == 1.0 { panic!("x") }
-                a + b
+                let a = v[i - j];
+                if a == 1.0 { return 0.0 }
+                a * (i - 1) as f32
             }
         "#;
-        let a = lint_file("crates/core/src/serving.rs", src);
-        let b = lint_file("crates/core/src/serving.rs", src);
+        let a = lint("crates/core/src/serving.rs", src);
+        let b = lint("crates/core/src/serving.rs", src);
         assert_eq!(a, b);
         assert!(a.len() >= 4, "expected several findings, got {a:?}");
         let lines: Vec<u32> = a.iter().map(|f| f.line).collect();

@@ -1,8 +1,8 @@
 //! End-to-end tests: run the deepsd-lint binary over the fixture
 //! mini-workspace in `tests/fixtures/mini` (true positive, audited
 //! suppression and false-positive guard for each interprocedural
-//! analysis), and over the real workspace twice to prove the output is
-//! byte-identical across runs.
+//! analysis), and over the real workspace: twice to prove the output is
+//! byte-identical across runs, and once as the CI lint gate.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -117,6 +117,11 @@ fn explain_knows_every_rule() {
     assert!(err.contains("unknown rule"), "{err}");
 }
 
+/// Runs over the real workspace: `--list` and `--list --json` are
+/// byte-identical across runs, and the CI lint job's conditions hold —
+/// `--check` is within the baseline, no panic site is reachable from a
+/// `deepsd-serve` entry point, and no determinism taint reaches a
+/// deterministic sink.
 #[test]
 fn output_is_byte_identical_across_runs_on_the_real_workspace() {
     let root = workspace_root();
@@ -127,4 +132,25 @@ fn output_is_byte_identical_across_runs_on_the_real_workspace() {
     let (ja, _, _) = lint(&["--root", &root, "--list", "--json"]);
     let (jb, _, _) = lint(&["--root", &root, "--list", "--json"]);
     assert_eq!(ja, jb, "two --json runs differ");
+
+    let (out, err, code) = lint(&["--root", &root, "--check"]);
+    assert_eq!(code, Some(0), "--check failed:\n{out}{err}");
+    let serve_reachable: Vec<&str> = a
+        .lines()
+        .filter(|l| l.starts_with("panic-reach") && l.contains("[serve"))
+        .collect();
+    assert!(
+        serve_reachable.is_empty(),
+        "panic sites reachable from serve entry points:\n{}",
+        serve_reachable.join("\n")
+    );
+    let tainted: Vec<&str> = a
+        .lines()
+        .filter(|l| l.starts_with("determinism-taint"))
+        .collect();
+    assert!(
+        tainted.is_empty(),
+        "determinism taint reaches a deterministic sink:\n{}",
+        tainted.join("\n")
+    );
 }
