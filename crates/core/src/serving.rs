@@ -177,10 +177,12 @@ impl<P: Predictor + Sync, X: ItemSource> OnlinePredictor<P, X> {
 
     /// Builds the feature item for one area at `(day, t)` from the
     /// streamed state, or `None` when `area` is outside the deployment.
+    /// Only observes move a window's clock: a predict ahead of the
+    /// stream reads the orders seen so far and leaves the window as it
+    /// was.
     fn item(&mut self, area: u16, day: u16, t: u16) -> Option<Item> {
         let window = self.windows.get_mut(area as usize)?;
-        window.advance_to(day, t);
-        let (v_sd, v_lc, v_wt) = window.vectors(t);
+        let (v_sd, v_lc, v_wt) = window.vectors_at(day, t);
         Some(
             self.extractor
                 .extract_with_realtime(ItemKey { area, day, t }, &v_sd, &v_lc, &v_wt),
@@ -206,9 +208,9 @@ impl<P: Predictor + Sync, X: ItemSource> OnlinePredictor<P, X> {
         let items: Vec<Item> = (0..n).filter_map(|area| self.item(area, day, t)).collect();
         let feeds = self.extractor.feed_status(day, t);
         let mask = Self::mask_for(&feeds);
-        // Item construction above is sequential (it mutates the per-area
-        // windows and the extractor's caches); scoring is the hot part
-        // and fans out over the worker threads.
+        // Item construction above is sequential (it borrows the
+        // extractor mutably, which may load evicted areas); scoring is
+        // the hot part and fans out over the worker threads.
         let chunks: Vec<&[Item]> = items.chunks(SERVE_BATCH).collect();
         let predictions =
             crate::trainer::predict_chunks_masked(&self.model, &chunks, &mask).concat();
@@ -365,6 +367,52 @@ mod tests {
 
         assert_eq!(expected.predictions, got.predictions);
         assert_eq!(expected.ingest, got.ingest);
+    }
+
+    /// Predicts ahead of the stream, and for other days, leave the
+    /// windows alone: the stream's next in-order orders are accepted,
+    /// none is lost, and the prediction at the stream's position equals
+    /// offline extraction bit for bit.
+    #[test]
+    fn predicting_ahead_does_not_move_the_ingest_clock() {
+        let (ds, fcfg, model) = setup(128);
+        let day = 10u16;
+        let mut offline_fx = FeatureExtractor::new(&ds, fcfg.clone());
+        let keys: Vec<ItemKey> = (0..ds.n_areas() as u16)
+            .map(|area| ItemKey { area, day, t: 600 })
+            .collect();
+        let offline = predict_items(&model, &offline_fx.extract_all(&keys), 64);
+
+        let policies = [
+            IngestPolicy::Reject,
+            IngestPolicy::ReorderWithinSlack { slack_minutes: 30 },
+        ];
+        for policy in policies {
+            let fx = FeatureExtractor::new(&ds, fcfg.clone());
+            let mut predictor = OnlinePredictor::with_policy(model.clone(), fx, policy);
+            let mut sent = 0u64;
+            for area in 0..ds.n_areas() as u16 {
+                let stream = day_stream(&ds, area, day, 300);
+                sent += stream.len() as u64;
+                assert!(predictor.observe_all(&stream).is_clean());
+            }
+            let _ = predictor.predict_all(day - 1, 900);
+            let _ = predictor.predict_area(0, day + 1, 480);
+            let _ = predictor.predict_all(day, 600);
+            for area in 0..ds.n_areas() as u16 {
+                let stream: Vec<Order> = day_stream(&ds, area, day, 600)
+                    .into_iter()
+                    .filter(|o| o.ts >= 300)
+                    .collect();
+                sent += stream.len() as u64;
+                let report = predictor.observe_all(&stream);
+                assert!(report.is_clean(), "{policy:?}: {report:?}");
+            }
+            let report = predictor.predict_all_report(day, 600);
+            assert_eq!(report.ingest.accepted, sent, "{policy:?}");
+            assert_eq!(report.ingest.lost() + report.ingest.reordered, 0);
+            assert_eq!(report.predictions, offline, "{policy:?}");
+        }
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! abstraction the trainer and the serving path consume.
 //!
 //! [`StreamingExtractor`] is the only extractor. It keeps per-area state
-//! (order index, history cache, traffic stream) resident, loading areas
-//! on demand from its source and evicting in deterministic FIFO order
-//! when over an optional memory budget. Over an in-memory
+//! (order index and traffic stream, nothing else) resident, loading
+//! areas on demand from its source and evicting in deterministic FIFO
+//! order when over an optional memory budget. Over an in-memory
 //! `&SimDataset` ([`FeatureExtractor`]) it borrows every area's orders
 //! and traffic and builds all areas up front; over a chunked container
 //! reader or a chunked generator it builds areas lazily.
@@ -14,14 +14,18 @@
 //! function of the source, so a rebuilt area yields bit-identical items,
 //! and every source funnels through the same `assemble_item` code path,
 //! which makes streamed and in-memory extraction bit-identical by
-//! construction (asserted in tests).
+//! construction (asserted in tests). Item assembly keeps no state of
+//! its own: real-time vectors and weekday histories are computed from
+//! the index for each item (see [`crate::history`]), so resident memory
+//! does not grow with the number of slots served.
 
 use crate::config::FeatureConfig;
 use crate::feeds::{FeedHealth, FeedKind, FeedStatus};
-use crate::history::{AreaHistory, VectorKind};
+use crate::history::HistoryStacks;
 use crate::index::AreaIndex;
 use crate::items::{Item, ItemKey};
 use crate::scaling::{scale_counts, scale_pm25, scale_temperature};
+use crate::vectors::{v_lc, v_sd, v_wt};
 use deepsd_simdata::codec::ReadStats;
 use deepsd_simdata::stream::AreaSource;
 use deepsd_simdata::{
@@ -65,30 +69,13 @@ pub trait ItemSource {
     ///
     /// # Panics
     /// Panics if vector lengths do not match `2L`.
-    // deepsd-lint: allow(panic-reach, reason="width guards; vector builders emit exactly dim elements")
     fn extract_with_realtime(
         &mut self,
         key: ItemKey,
         v_sd_raw: &[f32],
         v_lc_raw: &[f32],
         v_wt_raw: &[f32],
-    ) -> Item {
-        let dim = self.config().vector_dim();
-        assert_eq!(v_sd_raw.len(), dim, "v_sd width");
-        assert_eq!(v_lc_raw.len(), dim, "v_lc width");
-        assert_eq!(v_wt_raw.len(), dim, "v_wt width");
-        let mut item = self.extract(key);
-        let mut v_sd = v_sd_raw.to_vec();
-        let mut v_lc = v_lc_raw.to_vec();
-        let mut v_wt = v_wt_raw.to_vec();
-        for v in [&mut v_sd, &mut v_lc, &mut v_wt] {
-            scale_counts(v);
-        }
-        item.v_sd = v_sd;
-        item.v_lc = v_lc;
-        item.v_wt = v_wt;
-        item
-    }
+    ) -> Item;
     /// Cumulative data-plane I/O statistics (zeros for in-memory
     /// sources); feeds the `data_chunks_read_total` /
     /// `data_bytes_read_total` telemetry counters.
@@ -102,7 +89,6 @@ pub trait ItemSource {
 /// empty when the source lends the area's traffic instead.
 struct AreaState {
     index: AreaIndex,
-    history: AreaHistory,
     traffic: Vec<TrafficObs>,
     approx_bytes: usize,
 }
@@ -209,14 +195,12 @@ impl<S: AreaSource> StreamingExtractor<S> {
             };
             // Rough but deterministic size of the state this extractor
             // owns: orders (index copy + retry links), per-minute
-            // counters, owned traffic, fixed slack for the history cache.
+            // counters, owned traffic.
             let approx_bytes = index.len() * 48
                 + usize::from(n_days) * MINUTES_PER_DAY_USIZE * 6
-                + traffic.len() * 8
-                + 4096;
+                + traffic.len() * 8;
             self.states[slot] = Some(AreaState {
                 index,
-                history: AreaHistory::new(),
                 traffic,
                 approx_bytes,
             });
@@ -235,6 +219,33 @@ impl<S: AreaSource> StreamingExtractor<S> {
             None => unreachable!("state ensured above"),
         }
     }
+
+    /// Assembles the item of `key`, with the given raw real-time vectors
+    /// or, when `None`, those of the area's index.
+    ///
+    /// # Panics
+    /// As [`ItemSource::extract`].
+    // deepsd-lint: allow(panic-reach, reason="area is asserted in range by ensure_area on the same request path")
+    fn assemble(&mut self, key: ItemKey, realtime: Option<[&[f32]; 3]>) -> Item {
+        self.ensure_area(key.area);
+        let state = match self.states[usize::from(key.area)].as_ref() {
+            Some(s) => s,
+            None => unreachable!("state ensured above"),
+        };
+        let traffic = match self.source.borrow_area(key.area) {
+            Some((_, traffic)) => traffic,
+            None => &state.traffic,
+        };
+        assemble_item(
+            &self.config,
+            &self.feed_health,
+            &state.index,
+            self.source.weather(),
+            traffic,
+            key,
+            realtime,
+        )
+    }
 }
 
 impl<S: AreaSource> ItemSource for StreamingExtractor<S> {
@@ -248,26 +259,25 @@ impl<S: AreaSource> ItemSource for StreamingExtractor<S> {
     /// Panics if `t < L`, the key addresses a day/area outside the
     /// source, or the source fails to produce the area's block (corrupt
     /// chunk).
-    // deepsd-lint: allow(panic-reach, reason="area is asserted in range by ensure_area on the same request path")
     fn extract(&mut self, key: ItemKey) -> Item {
-        self.ensure_area(key.area);
-        let state = match self.states[usize::from(key.area)].as_mut() {
-            Some(s) => s,
-            None => unreachable!("state ensured above"),
-        };
-        let traffic = match self.source.borrow_area(key.area) {
-            Some((_, traffic)) => traffic,
-            None => &state.traffic,
-        };
-        assemble_item(
-            &self.config,
-            &self.feed_health,
-            &state.index,
-            &mut state.history,
-            self.source.weather(),
-            traffic,
-            key,
-        )
+        self.assemble(key, None)
+    }
+
+    /// Assembles the item around the given real-time vectors; the
+    /// index's own real-time vectors are never computed.
+    // deepsd-lint: allow(panic-reach, reason="width guards; vector builders emit exactly dim elements")
+    fn extract_with_realtime(
+        &mut self,
+        key: ItemKey,
+        v_sd_raw: &[f32],
+        v_lc_raw: &[f32],
+        v_wt_raw: &[f32],
+    ) -> Item {
+        let dim = self.config.vector_dim();
+        assert_eq!(v_sd_raw.len(), dim, "v_sd width");
+        assert_eq!(v_lc_raw.len(), dim, "v_lc width");
+        assert_eq!(v_wt_raw.len(), dim, "v_wt width");
+        self.assemble(key, Some([v_sd_raw, v_lc_raw, v_wt_raw]))
     }
 
     fn n_areas(&self) -> usize {
@@ -310,41 +320,34 @@ impl<S: AreaSource> ItemSource for StreamingExtractor<S> {
 /// `weather` is the city-wide stream (`day * 1440 + minute`); `traffic`
 /// is the area's day-major stream, or empty when no traffic data exists
 /// (traffic features then degrade to the same neutral zeros a down feed
-/// yields).
+/// yields). `realtime` replaces the index's raw `[v_sd, v_lc, v_wt]`
+/// (the serving path passes its live window's).
 // deepsd-lint: allow(panic-reach, reason="weather table is sized n_days*slots by the dataset generator")
 fn assemble_item(
     cfg: &FeatureConfig,
     feed_health: &FeedHealth,
     index: &AreaIndex,
-    history: &mut AreaHistory,
     weather: &[WeatherObs],
     traffic: &[TrafficObs],
     key: ItemKey,
+    realtime: Option<[&[f32]; 3]>,
 ) -> Item {
     let l = cfg.window_l;
-    let t_next = key.t + cfg.horizon as u16;
     let slots = MINUTES_PER_DAY as usize;
 
-    let mut v_sd = history.realtime(index, cfg, VectorKind::SupplyDemand, key.day, key.t);
-    let mut v_lc = history.realtime(index, cfg, VectorKind::LastCall, key.day, key.t);
-    let mut v_wt = history.realtime(index, cfg, VectorKind::WaitingTime, key.day, key.t);
-    let mut h_sd = history.stack(index, cfg, VectorKind::SupplyDemand, key.day, key.t);
-    let mut h_sd_next = history.stack(index, cfg, VectorKind::SupplyDemand, key.day, t_next);
-    let mut h_lc = history.stack(index, cfg, VectorKind::LastCall, key.day, key.t);
-    let mut h_lc_next = history.stack(index, cfg, VectorKind::LastCall, key.day, t_next);
-    let mut h_wt = history.stack(index, cfg, VectorKind::WaitingTime, key.day, key.t);
-    let mut h_wt_next = history.stack(index, cfg, VectorKind::WaitingTime, key.day, t_next);
-    for v in [
-        &mut v_sd,
-        &mut v_lc,
-        &mut v_wt,
-        &mut h_sd,
-        &mut h_sd_next,
-        &mut h_lc,
-        &mut h_lc_next,
-        &mut h_wt,
-        &mut h_wt_next,
-    ] {
+    let [mut v_sd, mut v_lc, mut v_wt] = match realtime {
+        Some(raw) => raw.map(<[f32]>::to_vec),
+        None => [
+            v_sd(index, key.day, key.t, l),
+            v_lc(index, key.day, key.t, l),
+            v_wt(index, key.day, key.t, l),
+        ],
+    };
+    let mut h = HistoryStacks::build(index, cfg, key.day, key.t);
+    for v in [&mut v_sd, &mut v_lc, &mut v_wt] {
+        scale_counts(v);
+    }
+    for v in h.all_mut() {
         scale_counts(v);
     }
 
@@ -393,12 +396,12 @@ fn assemble_item(
         v_sd,
         v_lc,
         v_wt,
-        h_sd,
-        h_sd_next,
-        h_lc,
-        h_lc_next,
-        h_wt,
-        h_wt_next,
+        h_sd: h.sd,
+        h_sd_next: h.sd_next,
+        h_lc: h.lc,
+        h_lc_next: h.lc_next,
+        h_wt: h.wt,
+        h_wt_next: h.wt_next,
         weather_types,
         weather_scalars,
         traffic: traffic_out,
@@ -531,7 +534,7 @@ mod tests {
             t: 1000,
         };
         let a = fx.extract(key);
-        let b = fx.extract(key); // second call served from cache
+        let b = fx.extract(key);
         assert_eq!(a.v_lc, b.v_lc);
         assert_eq!(a.h_lc, b.h_lc);
         assert_eq!(a.gap, b.gap);

@@ -6,168 +6,101 @@
 //! seven weekday histories are stacked into one `7·2L` buffer; the model
 //! combines them with learned softmax weights (Eq. 1).
 //!
-//! Last-call and waiting-time vectors are window-dependent and therefore
-//! cached per `(kind, day, t)`; supply-demand vectors come straight from
-//! the minute-count arrays.
+//! [`HistoryStacks::build`] computes an item's six stacks (each kind at
+//! `t` and at `t + C`) on demand, straight from the area's order index:
+//! one walk over the past days adds each day's counts into the output
+//! buffers, and nothing is cached between items. Counts are small
+//! integers, so the `f32` sums are exact in any order and the averages
+//! are bit-identical to averaging per-day vectors.
 
 use crate::config::FeatureConfig;
 use crate::index::AreaIndex;
-use crate::vectors::{v_lc, v_sd, v_wt};
-use std::collections::HashMap;
+use crate::vectors::{add_lc, add_sd, add_wt};
 
-/// Which real-time vector a computation refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VectorKind {
-    /// Supply-demand vector (Definition 5).
-    SupplyDemand,
-    /// Last-call vector (Definition 6).
-    LastCall,
-    /// Waiting-time vector (Definition 7).
-    WaitingTime,
-}
-
-impl VectorKind {
-    /// All kinds, in block order.
-    pub const ALL: [VectorKind; 3] = [
-        VectorKind::SupplyDemand,
-        VectorKind::LastCall,
-        VectorKind::WaitingTime,
-    ];
-}
-
-/// History computation over one area, with a per-`(kind, day, t)` cache
-/// for the window-dependent vector kinds.
+/// The six stacked 7-weekday histories of one item,
+/// `[H^(Mon) | H^(Tue) | … | H^(Sun)]`, each part `2L`-dimensional.
+///
+/// Weekdays with no prior occurrence before the item's day contribute
+/// zeros; at most `cfg.history_window` most-recent same-weekday days are
+/// averaged.
 #[derive(Debug)]
-pub struct AreaHistory {
-    cache: HashMap<(VectorKind, u16, u16), Vec<f32>>,
+pub struct HistoryStacks {
+    /// Supply-demand history at `t`.
+    pub sd: Vec<f32>,
+    /// Supply-demand history at `t + C`.
+    pub sd_next: Vec<f32>,
+    /// Last-call history at `t`.
+    pub lc: Vec<f32>,
+    /// Last-call history at `t + C`.
+    pub lc_next: Vec<f32>,
+    /// Waiting-time history at `t`.
+    pub wt: Vec<f32>,
+    /// Waiting-time history at `t + C`.
+    pub wt_next: Vec<f32>,
 }
 
-impl Default for AreaHistory {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl AreaHistory {
-    /// Creates an empty history cache.
-    pub fn new() -> Self {
-        AreaHistory {
-            cache: HashMap::new(),
-        }
-    }
-
-    /// Real-time vector of `kind` at `(day, t)` (cached for lc/wt).
-    // deepsd-lint: allow(panic-reach, reason="outer match restricts kind to lc/wt here; sd is handled in the arm above")
-    pub fn realtime(
-        &mut self,
-        index: &AreaIndex,
-        cfg: &FeatureConfig,
-        kind: VectorKind,
-        day: u16,
-        t: u16,
-    ) -> Vec<f32> {
+impl HistoryStacks {
+    /// Builds the unscaled stacks of `(day, t)` for one area.
+    // deepsd-lint: allow(panic-reach, reason="parts are sliced at w*dim with w < 7 from buffers sized 7*dim")
+    pub fn build(index: &AreaIndex, cfg: &FeatureConfig, day: u16, t: u16) -> HistoryStacks {
         let l = cfg.window_l;
-        match kind {
-            VectorKind::SupplyDemand => v_sd(index, day, t, l),
-            VectorKind::LastCall | VectorKind::WaitingTime => self
-                .cache
-                .entry((kind, day, t))
-                .or_insert_with(|| match kind {
-                    VectorKind::LastCall => v_lc(index, day, t, l),
-                    VectorKind::WaitingTime => v_wt(index, day, t, l),
-                    VectorKind::SupplyDemand => unreachable!(),
-                })
-                .clone(),
-        }
-    }
-
-    /// Stacked 7-weekday history `[H^(Mon) | H^(Tue) | … | H^(Sun)]` of
-    /// `kind` at `(day, t)`, each part `2L`-dimensional.
-    ///
-    /// Weekdays with no prior occurrence before `day` contribute zeros.
-    /// At most `cfg.history_window` most-recent same-weekday days are
-    /// averaged.
-    // deepsd-lint: allow(panic-reach, reason="w ranges over the window count the output buffer was sized for")
-    pub fn stack(
-        &mut self,
-        index: &AreaIndex,
-        cfg: &FeatureConfig,
-        kind: VectorKind,
-        day: u16,
-        t: u16,
-    ) -> Vec<f32> {
         let dim = cfg.vector_dim();
-        let mut out = vec![0.0f32; 7 * dim];
-        for w in 0..7u16 {
-            let mut acc = vec![0.0f32; dim];
-            let mut count = 0usize;
-            // Walk backwards over past days of weekday w. Underflow
-            // audit: the `m > 0` loop guard bounds the decrement.
-            let mut m = day;
-            while m > 0 && count < cfg.history_window {
-                m -= 1;
-                if (m % 7) as usize != w as usize {
-                    continue;
-                }
-                let v = self.realtime(index, cfg, kind, m, t);
-                for (a, b) in acc.iter_mut().zip(v.iter()) {
-                    *a += b;
-                }
-                count += 1;
-            }
-            if count > 0 {
-                let inv = 1.0 / count as f32;
-                for a in acc.iter_mut() {
+        let t_next = t + cfg.horizon as u16;
+        let zeros = || vec![0.0f32; 7 * dim];
+        let mut h = HistoryStacks {
+            sd: zeros(),
+            sd_next: zeros(),
+            lc: zeros(),
+            lc_next: zeros(),
+            wt: zeros(),
+            wt_next: zeros(),
+        };
+        // The `history_window` most recent days of every weekday are the
+        // last `7 · history_window` days before `day`.
+        let first = usize::from(day).saturating_sub(7 * cfg.history_window);
+        let mut count = [0u16; 7];
+        for m in (first..usize::from(day)).rev() {
+            let w = m % 7;
+            let part = w * dim..(w + 1) * dim;
+            let m = m as u16;
+            add_sd(index, m, t, l, &mut h.sd[part.clone()]);
+            add_sd(index, m, t_next, l, &mut h.sd_next[part.clone()]);
+            add_lc(index, m, t, l, &mut h.lc[part.clone()]);
+            add_lc(index, m, t_next, l, &mut h.lc_next[part.clone()]);
+            add_wt(index, m, t, l, &mut h.wt[part.clone()]);
+            add_wt(index, m, t_next, l, &mut h.wt_next[part]);
+            count[w] += 1;
+        }
+        for (w, &c) in count.iter().enumerate().filter(|(_, &c)| c > 0) {
+            let inv = 1.0 / c as f32;
+            for stack in h.all_mut() {
+                for a in &mut stack[w * dim..(w + 1) * dim] {
                     *a *= inv;
                 }
             }
-            out[w as usize * dim..(w as usize + 1) * dim].copy_from_slice(&acc);
         }
-        out
+        h
     }
 
-    /// Number of cached window-dependent vectors.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
+    /// All six stacks, for in-place scaling.
+    pub fn all_mut(&mut self) -> [&mut Vec<f32>; 6] {
+        [
+            &mut self.sd,
+            &mut self.sd_next,
+            &mut self.lc,
+            &mut self.lc_next,
+            &mut self.wt,
+            &mut self.wt_next,
+        ]
     }
-}
-
-/// Simple uniform empirical average over all prior days (any weekday):
-/// the paper's "Empirical Average" baseline building block, also useful
-/// as a sanity reference.
-pub fn uniform_history(
-    history: &mut AreaHistory,
-    index: &AreaIndex,
-    cfg: &FeatureConfig,
-    kind: VectorKind,
-    day: u16,
-    t: u16,
-) -> Vec<f32> {
-    let dim = cfg.vector_dim();
-    let mut acc = vec![0.0f32; dim];
-    let mut count = 0usize;
-    // Underflow audit: `lookback <= day` by the `.min` above.
-    let lookback = (cfg.history_window * 7).min(day as usize);
-    for m in (day as usize - lookback)..day as usize {
-        let v = history.realtime(index, cfg, kind, m as u16, t);
-        for (a, b) in acc.iter_mut().zip(v.iter()) {
-            *a += b;
-        }
-        count += 1;
-    }
-    if count > 0 {
-        let inv = 1.0 / count as f32;
-        for a in acc.iter_mut() {
-            *a *= inv;
-        }
-    }
-    acc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepsd_simdata::Order;
+    use crate::vectors::{v_lc, v_sd, v_wt};
+    use deepsd_rng::{cases, Rng};
+    use deepsd_simdata::{Order, MINUTES_PER_DAY};
 
     fn cfg() -> FeatureConfig {
         FeatureConfig {
@@ -198,9 +131,8 @@ mod tests {
     fn stack_averages_same_weekday_days() {
         let cfg = cfg();
         let index = index_with_daily_counts(15);
-        let mut hist = AreaHistory::new();
         // Query at day 14 (weekday 0), t = 100: minute 99 is lag ℓ = 1.
-        let stack = hist.stack(&index, &cfg, VectorKind::SupplyDemand, 14, 100);
+        let stack = HistoryStacks::build(&index, &cfg, 14, 100).sd;
         let dim = cfg.vector_dim();
         // Weekday 0 history: days 0 (count 1) and 7 (count 8) → mean 4.5.
         assert!((stack[0] - 4.5).abs() < 1e-6);
@@ -218,9 +150,8 @@ mod tests {
     fn stack_is_zero_with_no_history() {
         let cfg = cfg();
         let index = index_with_daily_counts(3);
-        let mut hist = AreaHistory::new();
-        let stack = hist.stack(&index, &cfg, VectorKind::SupplyDemand, 0, 100);
-        assert!(stack.iter().all(|&v| v == 0.0));
+        let mut h = HistoryStacks::build(&index, &cfg, 0, 100);
+        assert!(h.all_mut().iter().all(|s| s.iter().all(|&v| v == 0.0)));
     }
 
     #[test]
@@ -228,8 +159,7 @@ mod tests {
         let mut cfg = cfg();
         cfg.history_window = 1;
         let index = index_with_daily_counts(15);
-        let mut hist = AreaHistory::new();
-        let stack = hist.stack(&index, &cfg, VectorKind::SupplyDemand, 14, 100);
+        let stack = HistoryStacks::build(&index, &cfg, 14, 100).sd;
         // Weekday 0: only day 7 (count 8) within window 1.
         assert!((stack[0] - 8.0).abs() < 1e-6);
     }
@@ -238,43 +168,121 @@ mod tests {
     fn stack_excludes_current_and_future_days() {
         let cfg = cfg();
         let index = index_with_daily_counts(15);
-        let mut hist = AreaHistory::new();
         // Query day 7 (weekday 0): only day 0 contributes to weekday 0.
-        let stack = hist.stack(&index, &cfg, VectorKind::SupplyDemand, 7, 100);
+        let stack = HistoryStacks::build(&index, &cfg, 7, 100).sd;
         assert!((stack[0] - 1.0).abs() < 1e-6);
     }
 
-    #[test]
-    fn lc_vectors_are_cached() {
-        let cfg = cfg();
-        let index = index_with_daily_counts(15);
-        let mut hist = AreaHistory::new();
-        assert_eq!(hist.cache_len(), 0);
-        let _ = hist.stack(&index, &cfg, VectorKind::LastCall, 14, 100);
-        let filled = hist.cache_len();
-        assert!(filled > 0);
-        // Second identical query must not grow the cache.
-        let _ = hist.stack(&index, &cfg, VectorKind::LastCall, 14, 100);
-        assert_eq!(hist.cache_len(), filled);
+    /// The per-day-vector algorithm the stacks replace: for each weekday,
+    /// walk back over its most recent days, average their real-time
+    /// vectors in a fresh buffer, and copy the average into the stack.
+    fn reference_stack(
+        index: &AreaIndex,
+        cfg: &FeatureConfig,
+        vector: fn(&AreaIndex, u16, u16, usize) -> Vec<f32>,
+        day: u16,
+        t: u16,
+    ) -> Vec<f32> {
+        let dim = cfg.vector_dim();
+        let mut out = vec![0.0f32; 7 * dim];
+        for w in 0..7u16 {
+            let mut acc = vec![0.0f32; dim];
+            let mut count = 0usize;
+            let mut m = day;
+            while m > 0 && count < cfg.history_window {
+                m -= 1;
+                if m % 7 != w {
+                    continue;
+                }
+                let v = vector(index, m, t, cfg.window_l);
+                for (a, b) in acc.iter_mut().zip(v.iter()) {
+                    *a += b;
+                }
+                count += 1;
+            }
+            if count > 0 {
+                let inv = 1.0 / count as f32;
+                for a in acc.iter_mut() {
+                    *a *= inv;
+                }
+            }
+            out[w as usize * dim..(w as usize + 1) * dim].copy_from_slice(&acc);
+        }
+        out
+    }
+
+    /// A random area: busy and quiet days, retry chains of a small
+    /// passenger pool, orders at the very end of the day.
+    fn random_index(rng: &mut Rng, n_days: u16) -> AreaIndex {
+        let mut orders = Vec::new();
+        for day in 0..n_days {
+            for _ in 0..rng.gen_range(0usize..400) {
+                let ts = if rng.gen_bool(0.1) {
+                    rng.gen_range(1420u16..1440)
+                } else {
+                    rng.gen_range(0u16..1440)
+                };
+                orders.push(Order {
+                    day,
+                    ts,
+                    pid: rng.gen_range(0u64..40),
+                    loc_start: 0,
+                    loc_dest: 0,
+                    valid: rng.gen_bool(0.6),
+                });
+            }
+        }
+        orders.sort_by_key(|o| (o.day, o.ts));
+        AreaIndex::build(&orders, n_days)
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
-    fn uniform_history_averages_all_days() {
-        let cfg = cfg();
-        let index = index_with_daily_counts(8);
-        let mut hist = AreaHistory::new();
-        let u = uniform_history(&mut hist, &index, &cfg, VectorKind::SupplyDemand, 7, 100);
-        // Days 0..7 with counts 1..=7 → mean of (1+2+…+7)/7 = 4.
-        assert!((u[0] - 4.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn realtime_sd_matches_direct_computation() {
-        let cfg = cfg();
-        let index = index_with_daily_counts(5);
-        let mut hist = AreaHistory::new();
-        let via_history = hist.realtime(&index, &cfg, VectorKind::SupplyDemand, 4, 100);
-        let direct = crate::vectors::v_sd(&index, 4, 100, cfg.window_l);
-        assert_eq!(via_history, direct);
+    fn stacks_equal_per_day_reference_bit_for_bit() {
+        cases(48, |rng| {
+            let n_days = rng.gen_range(1u16..30);
+            let index = random_index(rng, n_days);
+            let cfg = FeatureConfig {
+                window_l: rng.gen_range(1usize..25),
+                history_window: rng.gen_range(0usize..6),
+                horizon: rng.gen_range(1usize..15),
+                ..FeatureConfig::default()
+            };
+            for _ in 0..8 {
+                let day = rng.gen_range(0..n_days);
+                // Every third key ends its `t + C` window past midnight.
+                let lo = cfg.window_l as u16;
+                let t = if rng.gen_bool(0.33) {
+                    rng.gen_range((MINUTES_PER_DAY as u16 - cfg.horizon as u16).max(lo)..1440)
+                } else {
+                    rng.gen_range(lo..1440)
+                };
+                let t_next = t + cfg.horizon as u16;
+                let got = HistoryStacks::build(&index, &cfg, day, t);
+                let want = [
+                    (&got.sd, reference_stack(&index, &cfg, v_sd, day, t)),
+                    (
+                        &got.sd_next,
+                        reference_stack(&index, &cfg, v_sd, day, t_next),
+                    ),
+                    (&got.lc, reference_stack(&index, &cfg, v_lc, day, t)),
+                    (
+                        &got.lc_next,
+                        reference_stack(&index, &cfg, v_lc, day, t_next),
+                    ),
+                    (&got.wt, reference_stack(&index, &cfg, v_wt, day, t)),
+                    (
+                        &got.wt_next,
+                        reference_stack(&index, &cfg, v_wt, day, t_next),
+                    ),
+                ];
+                for (k, (got, want)) in want.iter().enumerate() {
+                    assert_eq!(bits(got), bits(want), "stack {k} day {day} t {t} {cfg:?}");
+                }
+            }
+        });
     }
 }

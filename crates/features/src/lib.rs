@@ -58,7 +58,7 @@ pub use batch::Batch;
 pub use config::FeatureConfig;
 pub use extract::{FeatureExtractor, ItemSource, StreamingExtractor};
 pub use feeds::{FeedHealth, FeedKind, FeedState, FeedStatus, DEFAULT_MAX_STALENESS};
-pub use history::{AreaHistory, VectorKind};
+pub use history::HistoryStacks;
 pub use index::AreaIndex;
 pub use ingest::{
     BatchIngestReport, IngestError, IngestPolicy, IngestStats, BATCH_ERROR_SAMPLE_CAP,

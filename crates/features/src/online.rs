@@ -152,7 +152,9 @@ impl OnlineWindow {
         self.buffer.insert(idx, order);
     }
 
-    /// Moves the clock forward to `(day, t)` without new orders.
+    /// Moves the clock forward to `(day, t)` without new orders, evicting
+    /// what falls out of the window. Only the stream should move the
+    /// clock: a later in-order order behind `t` then counts as late.
     pub fn advance_to(&mut self, day: u16, t: u16) {
         if day != self.day {
             self.buffer.clear();
@@ -188,11 +190,22 @@ impl OnlineWindow {
 
     /// Computes the three real-time vectors for the window `[t - L, t)`
     /// of the current day — unscaled counts, exactly matching the offline
-    /// [`crate::vectors`] semantics.
+    /// [`crate::vectors`] semantics. See [`OnlineWindow::vectors_at`].
+    pub fn vectors(&mut self, t: u16) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        self.vectors_at(self.day, t)
+    }
+
+    /// Computes the three real-time vectors for the window `[t - L, t)`
+    /// of `day` from the orders observed so far — unscaled counts,
+    /// exactly matching the offline [`crate::vectors`] semantics. Reading
+    /// never moves the clock or evicts: a predict ahead of the stream
+    /// cannot make the stream's next orders late.
     ///
-    /// When `t < L` the window would cross midnight; there is no valid
-    /// data to count and the vectors degrade to all-zero instead of
-    /// panicking on the request path.
+    /// The vectors are all-zero when the window holds another day (the
+    /// stream has not reached `day`, or has passed it), and when `t < L`:
+    /// the window would cross midnight, there is no valid data to count,
+    /// and the vectors degrade to all-zero instead of panicking on the
+    /// request path.
     ///
     /// All lag/wait arithmetic is saturating with an explicit
     /// clamp-and-count: a lag outside `[1, L]` (impossible while the
@@ -200,35 +213,33 @@ impl OnlineWindow {
     /// and bumps the `slot_clamped` tripwire counter instead of
     /// panicking in debug or wrapping to a silently dropped count in
     /// release.
-    pub fn vectors(&mut self, t: u16) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    pub fn vectors_at(&mut self, day: u16, t: u16) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
         let l = self.l as usize;
         let mut v_sd = vec![0.0f32; 2 * l];
         let mut v_lc = vec![0.0f32; 2 * l];
         let mut v_wt = vec![0.0f32; 2 * l];
-        if t < self.l || l == 0 {
+        if day != self.day || t < self.l || l == 0 {
             return (v_sd, v_lc, v_wt);
         }
         let from = t.saturating_sub(self.l);
-
-        // Group the in-window orders per passenger, preserving order.
-        // (Iteration order of the map only feeds commutative integer
-        // `+= 1.0` accumulations, so the vectors stay deterministic.)
-        let mut per_pid: std::collections::HashMap<u64, Vec<&Order>> =
-            std::collections::HashMap::new();
-        for o in &self.buffer {
-            if o.ts < from || o.ts >= t {
-                continue;
-            }
+        // The buffer is ts-sorted, so the in-window orders are one run.
+        let lo = self.buffer.partition_point(|o| o.ts < from);
+        let hi = self.buffer.partition_point(|o| o.ts < t);
+        let window = self.buffer.range(lo..hi);
+        for (i, o) in window.clone().enumerate() {
             let slot = Self::lag_slot(l, t, o.ts, o.valid, &mut self.stats.slot_clamped);
             if let Some(c) = v_sd.get_mut(slot) {
                 *c += 1.0;
             }
-            per_pid.entry(o.pid).or_default().push(o);
-        }
-        for chain in per_pid.values() {
-            let (Some(first), Some(last)) = (chain.first(), chain.last()) else {
+            // Each passenger's chain is counted once, at its last
+            // in-window call; its first in-window call starts the wait.
+            // (A window holds a dozen or so orders: the scans are
+            // cheaper than grouping through a map.)
+            if window.clone().skip(i + 1).any(|n| n.pid == o.pid) {
                 continue;
-            };
+            }
+            let last = o;
+            let first = window.clone().find(|p| p.pid == o.pid).unwrap_or(o);
             // Last-call vector: the pid counts at its final in-window call.
             let slot = Self::lag_slot(l, t, last.ts, last.valid, &mut self.stats.slot_clamped);
             if let Some(c) = v_lc.get_mut(slot) {
@@ -324,6 +335,57 @@ mod tests {
                 assert_eq!(lc_on, v_lc(&index, day, t, l), "lc area {area} t {t}");
                 assert_eq!(wt_on, v_wt(&index, day, t, l), "wt area {area} t {t}");
             }
+        }
+    }
+
+    /// A read ahead of the stream, or on another day, must not move the
+    /// clock: the stream's next in-order minute is still accepted, none
+    /// of it is lost, and the vectors match the offline ones.
+    #[test]
+    fn reading_ahead_does_not_move_the_clock() {
+        let ds = SimDataset::generate(&SimConfig::smoke(72));
+        let l = 12usize;
+        let day = 9u16;
+        let area = (0..ds.n_areas() as u16)
+            .max_by_key(|&a| ds.orders(a).len())
+            .unwrap();
+        let index = AreaIndex::build(ds.orders(area), ds.n_days);
+        let day_orders: Vec<Order> = ds
+            .orders(area)
+            .iter()
+            .filter(|o| o.day == day && o.ts < 700)
+            .copied()
+            .collect();
+        let (before, after): (Vec<Order>, Vec<Order>) = day_orders.iter().partition(|o| o.ts < 480);
+        assert!(!before.is_empty() && !after.is_empty());
+        let policies = [
+            IngestPolicy::Reject,
+            IngestPolicy::ReorderWithinSlack { slack_minutes: 30 },
+        ];
+        for policy in policies {
+            let mut w = OnlineWindow::with_policy(area, &cfg(l), policy);
+            for &o in &before {
+                w.observe(o).unwrap();
+            }
+            let offline = |t| {
+                (
+                    v_sd(&index, day, t, l),
+                    v_lc(&index, day, t, l),
+                    v_wt(&index, day, t, l),
+                )
+            };
+            assert_eq!(w.vectors_at(day, 480), offline(480), "{policy:?}");
+            let _ = w.vectors_at(day, 700);
+            let _ = w.vectors_at(day + 1, 60);
+            let (sd, lc, wt) = w.vectors_at(day - 1, 600);
+            assert!(sd.iter().chain(&lc).chain(&wt).all(|&v| v == 0.0));
+            for &o in &after {
+                w.observe(o).unwrap();
+            }
+            let stats = w.stats();
+            assert_eq!(stats.accepted, day_orders.len() as u64, "{policy:?}");
+            assert_eq!(stats.lost() + stats.reordered, 0, "{policy:?}");
+            assert_eq!(w.vectors_at(day, 700), offline(700), "{policy:?}");
         }
     }
 

@@ -22,18 +22,9 @@ use crate::index::AreaIndex;
 ///
 /// # Panics
 /// Panics if `t < L` (the window would cross midnight backwards).
-// deepsd-lint: allow(panic-reach, reason="explicit precondition asserts; day/t are validated upstream at admission")
 pub fn v_sd(index: &AreaIndex, day: u16, t: u16, l: usize) -> Vec<f32> {
-    assert!(
-        t as usize >= l,
-        "window [t-L, t) crosses midnight: t={t}, L={l}"
-    );
     let mut out = vec![0.0f32; 2 * l];
-    for ell in 1..=l {
-        let minute = t - ell as u16;
-        out[ell - 1] = index.valid_at(day, minute) as f32;
-        out[l + ell - 1] = index.invalid_at(day, minute) as f32;
-    }
+    add_sd(index, day, t, l, &mut out);
     out
 }
 
@@ -44,13 +35,51 @@ pub fn v_sd(index: &AreaIndex, day: u16, t: u16, l: usize) -> Vec<f32> {
 /// (they got the ride), entry `L + ℓ - 1` those whose last request went
 /// unanswered. A failed last call near `t` is the strongest predictor of
 /// an imminent gap.
-// deepsd-lint: allow(panic-reach, reason="explicit precondition asserts; day/t are validated upstream at admission")
 pub fn v_lc(index: &AreaIndex, day: u16, t: u16, l: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; 2 * l];
+    add_lc(index, day, t, l, &mut out);
+    out
+}
+
+/// Real-time waiting-time vector `V_wt^{d,t}` (Definition 7).
+///
+/// For each passenger whose *first* request falls inside `[t - L, t)`,
+/// the wait is the span in minutes from that first request to the
+/// passenger's last request before `t`. Entry `w` (clamped to `L - 1`)
+/// counts passengers with wait `w` who got a ride on their last request;
+/// entry `L + w` counts those who did not.
+pub fn v_wt(index: &AreaIndex, day: u16, t: u16, l: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; 2 * l];
+    add_wt(index, day, t, l, &mut out);
+    out
+}
+
+/// Adds the counts of [`v_sd`] into `out` (`2L` entries). The weekday
+/// histories sum several days into one buffer this way.
+///
+/// A window end past midnight (`t > 1440`, the history at `t + C` for
+/// the day's last slots) reads its minutes `>= 1440` from day `day + 1`'s
+/// row of the minute tables.
+// deepsd-lint: allow(panic-reach, reason="explicit precondition asserts; day/t are validated upstream at admission")
+pub fn add_sd(index: &AreaIndex, day: u16, t: u16, l: usize, out: &mut [f32]) {
     assert!(
         t as usize >= l,
         "window [t-L, t) crosses midnight: t={t}, L={l}"
     );
-    let mut out = vec![0.0f32; 2 * l];
+    for ell in 1..=l {
+        let minute = t - ell as u16;
+        out[ell - 1] += index.valid_at(day, minute) as f32;
+        out[l + ell - 1] += index.invalid_at(day, minute) as f32;
+    }
+}
+
+/// Adds the counts of [`v_lc`] into `out` (`2L` entries).
+// deepsd-lint: allow(panic-reach, reason="explicit precondition asserts; day/t are validated upstream at admission")
+pub fn add_lc(index: &AreaIndex, day: u16, t: u16, l: usize, out: &mut [f32]) {
+    assert!(
+        t as usize >= l,
+        "window [t-L, t) crosses midnight: t={t}, L={l}"
+    );
     let from = t - l as u16;
     let (window, offset) = index.day_orders_in(day, from, t);
     for (i, o) in window.iter().enumerate() {
@@ -68,23 +97,15 @@ pub fn v_lc(index: &AreaIndex, day: u16, t: u16, l: usize) -> Vec<f32> {
         let slot = if o.valid { ell - 1 } else { l + ell - 1 };
         out[slot] += 1.0;
     }
-    out
 }
 
-/// Real-time waiting-time vector `V_wt^{d,t}` (Definition 7).
-///
-/// For each passenger whose *first* request falls inside `[t - L, t)`,
-/// the wait is the span in minutes from that first request to the
-/// passenger's last request before `t`. Entry `w` (clamped to `L - 1`)
-/// counts passengers with wait `w` who got a ride on their last request;
-/// entry `L + w` counts those who did not.
+/// Adds the counts of [`v_wt`] into `out` (`2L` entries).
 // deepsd-lint: allow(panic-reach, reason="explicit precondition asserts; day/t are validated upstream at admission")
-pub fn v_wt(index: &AreaIndex, day: u16, t: u16, l: usize) -> Vec<f32> {
+pub fn add_wt(index: &AreaIndex, day: u16, t: u16, l: usize, out: &mut [f32]) {
     assert!(
         t as usize >= l,
         "window [t-L, t) crosses midnight: t={t}, L={l}"
     );
-    let mut out = vec![0.0f32; 2 * l];
     let from = t - l as u16;
     let (window, offset) = index.day_orders_in(day, from, t);
     for (i, o) in window.iter().enumerate() {
@@ -112,7 +133,6 @@ pub fn v_wt(index: &AreaIndex, day: u16, t: u16, l: usize) -> Vec<f32> {
         let slot = if last_order.valid { w } else { l + w };
         out[slot] += 1.0;
     }
-    out
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 #![allow(clippy::float_cmp)]
 
 use deepsd_features::vectors::{v_lc, v_sd, v_wt};
-use deepsd_features::{AreaIndex, FeatureConfig, VectorKind};
+use deepsd_features::{AreaIndex, FeatureConfig, HistoryStacks};
 use deepsd_rng::{cases, Rng};
 use deepsd_simdata::Order;
 
@@ -167,8 +167,7 @@ fn history_stack_averages_are_bounded_by_max_count() {
             history_window: 8,
             ..FeatureConfig::default()
         };
-        let mut hist = deepsd_features::AreaHistory::new();
-        let stack = hist.stack(&index, &cfg, VectorKind::SupplyDemand, 13, T);
+        let stack = HistoryStacks::build(&index, &cfg, 13, T).sd;
         let max = *counts.iter().max().unwrap() as f32;
         assert!(stack.iter().all(|&v| v <= max + 1e-6));
         assert!(stack.iter().all(|&v| v >= 0.0));
