@@ -215,11 +215,6 @@ impl RegressionTree {
         }
     }
 
-    /// Number of nodes.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of leaves.
     pub fn n_leaves(&self) -> usize {
         self.nodes

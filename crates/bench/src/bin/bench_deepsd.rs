@@ -20,10 +20,8 @@
 //! otherwise) — the "memory does not scale with city size" ratchet.
 
 use deepsd::trainer::{train, train_ensemble};
-use deepsd::{
-    DeepSD, Ensemble, EnvBlocks, ModelConfig, OnlinePredictor, Predictor, TrainOptions, Variant,
-};
-use deepsd_bench::{json_report, run_load, LoadGenConfig, Pipeline, Report, Scale, ToJson};
+use deepsd::{DeepSD, EnvBlocks, ModelConfig, Predictor, TrainOptions, Variant};
+use deepsd_bench::{json_report, Pipeline, Report, Scale, ToJson};
 use deepsd_features::{
     test_keys, train_keys, Batch, FeatureConfig, ItemSource, StreamingExtractor,
 };
@@ -31,7 +29,6 @@ use deepsd_nn::{
     matmul_ref, seeded_rng, set_num_threads, with_kernel_path, Adam, Embedding, Grad, GradMap,
     KernelPath, Matrix, ParamStore,
 };
-use deepsd_serve::{ServeConfig, Server};
 use deepsd_simdata::{
     AreaSource, ChunkReader, ChunkWriter, CityConfig, OrderGenConfig, SimConfig, StreamGenerator,
     WeatherConfig,
@@ -107,19 +104,6 @@ json_report! {
 }
 
 json_report! {
-    /// Daemon-served latency and shed rate at one offered concurrency.
-    struct ServeLoadPoint {
-        clients: usize,
-        offered: u64,
-        achieved_rps: f64,
-        p50_ms: f64,
-        p99_ms: f64,
-        p999_ms: f64,
-        shed_rate: f64,
-    }
-}
-
-json_report! {
     /// Training throughput at one shard-pool worker count.
     struct ShardScalePoint {
         workers: usize,
@@ -150,68 +134,7 @@ json_report! {
         shard_scaling: Vec<ShardScalePoint>,
         sparse_optim: Vec<SparseOptimPoint>,
         predict: PredictStats,
-        serving: Vec<ServeLoadPoint>,
     }
-}
-
-/// Boots `deepsd-serve` over the trained ensemble on loopback and
-/// sweeps closed-loop client counts, recording the client-perceived
-/// latency distribution and shed rate at each offered load.
-fn serving_load_curve(pipeline: &Pipeline, ensemble: Ensemble) -> Vec<ServeLoadPoint> {
-    let fx = pipeline.extractor();
-    let mut predictor = OnlinePredictor::new(ensemble, fx);
-    let config = ServeConfig {
-        queue_capacity: 16,
-        max_batch: 16,
-        deadline_ms: 1_000,
-        ..ServeConfig::default()
-    };
-    let server = Server::bind(config, deepsd::telemetry::global().clone())
-        .expect("bind serving bench daemon");
-    let addr = server.local_addr();
-    let handle = server.handle();
-    let day = pipeline.scale.test_days.start;
-
-    std::thread::scope(|scope| {
-        let runner = scope.spawn(move || server.run(&mut predictor));
-        let mut points = Vec::new();
-        for &clients in &[1usize, 4, 16] {
-            let report = run_load(
-                addr,
-                &LoadGenConfig {
-                    clients,
-                    requests_per_client: 40,
-                    seed: 4242 + clients as u64,
-                    day,
-                    t_range: (600, 1080),
-                    max_retries: 2,
-                    ..LoadGenConfig::default()
-                },
-            );
-            eprintln!(
-                "[serving] clients={clients}: rps={:.0} p50={:.2}ms p99={:.2}ms shed={:.3}",
-                report.achieved_rps(),
-                report.latency_quantile_ms(0.50),
-                report.latency_quantile_ms(0.99),
-                report.shed_rate()
-            );
-            points.push(ServeLoadPoint {
-                clients,
-                offered: report.attempted,
-                achieved_rps: report.achieved_rps(),
-                p50_ms: report.latency_quantile_ms(0.50),
-                p99_ms: report.latency_quantile_ms(0.99),
-                p999_ms: report.latency_quantile_ms(0.999),
-                shed_rate: report.shed_rate(),
-            });
-        }
-        handle.shutdown();
-        runner
-            .join()
-            .expect("serving bench engine joins")
-            .expect("serving bench daemon ran");
-        points
-    })
 }
 
 /// Times `reps` runs of `f` (after one warmup) and returns GFLOP/s for
@@ -732,9 +655,6 @@ fn main() {
         batches: latencies.len(),
     };
 
-    eprintln!("[serving] daemon latency-vs-offered-load sweep");
-    let serving = serving_load_curve(&pipeline, ensemble);
-
     let d = deepsd_nn::dispatch_counts();
     let kernel_dispatch = DispatchReport {
         scalar: d.scalar,
@@ -756,7 +676,6 @@ fn main() {
         shard_scaling,
         sparse_optim,
         predict,
-        serving,
     };
     std::fs::write("BENCH_deepsd.json", output.to_json().to_pretty())
         .expect("write BENCH_deepsd.json");
@@ -847,14 +766,5 @@ fn main() {
     }
     report.kv("predict p50 ms", format!("{:.3}", output.predict.p50_ms));
     report.kv("predict p99 ms", format!("{:.3}", output.predict.p99_ms));
-    for point in &output.serving {
-        report.kv(
-            &format!("serve @{} clients p50/p99 ms", point.clients),
-            format!(
-                "{:.2}/{:.2} (shed {:.3})",
-                point.p50_ms, point.p99_ms, point.shed_rate
-            ),
-        );
-    }
     report.finish(pipeline.scale.name);
 }

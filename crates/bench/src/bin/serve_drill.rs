@@ -312,6 +312,16 @@ fn main() {
     };
     std::fs::write("SERVE_DRILL_deepsd.json", output.to_json().to_pretty())
         .expect("write SERVE_DRILL_deepsd.json");
+    // Checked after the daemon has drained, so a failure exits instead
+    // of leaving the scope waiting on a running server.
+    assert!(
+        output.load_curve.iter().any(|p| p.shed_rate > 0.0),
+        "some load-curve rung must shed against the tiny queue"
+    );
+    assert_eq!(
+        output.engine_swaps, 1,
+        "the engine installed exactly one swap"
+    );
     eprintln!(
         "[drill] ok: served={} batches={} coalesced={} expired={}; wrote SERVE_DRILL_deepsd.json",
         stats.served, stats.batches, stats.coalesced, stats.expired

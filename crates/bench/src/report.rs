@@ -69,11 +69,6 @@ pub fn f2(v: f64) -> String {
     format!("{v:>8.2}")
 }
 
-/// Formats a float with 3 decimals, right-aligned to 8 chars.
-pub fn f3(v: f64) -> String {
-    format!("{v:>8.3}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,6 +87,5 @@ mod tests {
     #[test]
     fn float_formatting() {
         assert_eq!(f2(1.2345), "    1.23");
-        assert_eq!(f3(2.0), "   2.000");
     }
 }

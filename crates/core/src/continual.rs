@@ -38,6 +38,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// next `TICK_MINUTES`-aligned boundary a candidate training timeslot.
 pub const TICK_MINUTES: u16 = 10;
 
+/// Holdout stride for gating: every `HOLDOUT`-th key of the window is
+/// held out of fine-tuning and used for the MAE gate.
+const HOLDOUT: usize = 4;
+
 /// Knobs for the continual-learning loop.
 #[derive(Debug, Clone)]
 pub struct ContinualConfig {
@@ -56,9 +60,6 @@ pub struct ContinualConfig {
     pub epochs: usize,
     /// Fine-tune learning rate (typically below the from-scratch rate).
     pub learning_rate: f32,
-    /// Holdout stride for gating: every `holdout`-th key of the window
-    /// is held out of fine-tuning and used for the MAE gate.
-    pub holdout: usize,
     /// `DEEPSD-CKPT1` path the promoted shadow is persisted to
     /// (`None` disables shadow persistence).
     pub shadow_path: Option<String>,
@@ -78,7 +79,6 @@ impl Default for ContinualConfig {
             margin: 0.01,
             epochs: 2,
             learning_rate: 2e-4,
-            holdout: 4,
             shadow_path: None,
             seed: 99,
             threads: 0,
@@ -324,7 +324,6 @@ impl<X: ItemSource> ShadowTrainer<X> {
     /// Window keys in deterministic (tick-insertion, then area) order,
     /// split into fine-tune and held-out gating slices.
     fn split_keys(&self) -> (Vec<ItemKey>, Vec<ItemKey>) {
-        let holdout = self.cfg.holdout.max(2);
         let n_areas = self.extractor.n_areas() as u16;
         let mut train_keys = Vec::new();
         let mut eval_keys = Vec::new();
@@ -332,7 +331,7 @@ impl<X: ItemSource> ShadowTrainer<X> {
         for &(day, t) in &self.window {
             for area in 0..n_areas {
                 let key = ItemKey { area, day, t };
-                if i % holdout == holdout - 1 {
+                if i % HOLDOUT == HOLDOUT - 1 {
                     eval_keys.push(key);
                 } else {
                     train_keys.push(key);

@@ -73,4 +73,4 @@ pub use metrics::{evaluate, mae, rmse, thresholded, try_evaluate, try_mae, try_r
 pub use model::{BlockMask, DeepSD, Ensemble, Predictor};
 pub use serving::{OnlinePredictor, ServingReport};
 pub use telemetry::{parse_prometheus, EpochEvent, Json, Telemetry};
-pub use trainer::{train, Loss, TrainOptions, TrainReport};
+pub use trainer::{train, TrainOptions, TrainReport, BATCH_SIZE};

@@ -28,10 +28,9 @@
 use crate::model::{BlockMask, Predictor};
 use crate::telemetry::Telemetry;
 use deepsd_features::{
-    Batch, BatchIngestReport, FeedState, FeedStatus, IngestError, IngestPolicy, IngestStats, Item,
+    BatchIngestReport, FeedState, FeedStatus, IngestError, IngestPolicy, IngestStats, Item,
     ItemKey, ItemSource, OnlineWindow,
 };
-use deepsd_nn::Tape;
 use deepsd_simdata::Order;
 
 /// Areas per scoring batch in [`OnlinePredictor::predict_all_report`].
@@ -66,10 +65,6 @@ pub struct OnlinePredictor<P: Predictor, X: ItemSource> {
     policy: IngestPolicy,
     /// Counters for orders no window ever saw (unknown areas).
     stray: IngestStats,
-    /// Tape reused by the single-area hot path; keeps node storage and
-    /// pooled gather buffers alive so steady-state serving performs no
-    /// per-request tape allocations.
-    serve_tape: Tape,
     /// Metrics sink for latency histograms and health gauges (`None`
     /// disables telemetry).
     telemetry: Option<Telemetry>,
@@ -97,7 +92,6 @@ impl<P: Predictor + Sync, X: ItemSource> OnlinePredictor<P, X> {
             windows,
             policy,
             stray: IngestStats::default(),
-            serve_tape: Tape::new(),
             telemetry: None,
         }
     }
@@ -237,20 +231,6 @@ impl<P: Predictor + Sync, X: ItemSource> OnlinePredictor<P, X> {
         self.predict_all_report(day, t).predictions
     }
 
-    /// Predicts the gap of one area. An area outside the deployment
-    /// degrades to a neutral `0.0` gap instead of panicking.
-    pub fn predict_area(&mut self, area: u16, day: u16, t: u16) -> f32 {
-        let Some(item) = self.item(area, day, t) else {
-            return 0.0;
-        };
-        let mask = Self::mask_for(&self.extractor.feed_status(day, t));
-        self.model
-            .predict_masked_with(&mut self.serve_tape, &Batch::from_items(&[item]), &mask)
-            .first()
-            .copied()
-            .unwrap_or(0.0)
-    }
-
     /// The wrapped model.
     pub fn model(&self) -> &P {
         &self.model
@@ -272,7 +252,7 @@ mod tests {
     use crate::config::ModelConfig;
     use crate::model::DeepSD;
     use crate::trainer::predict_items;
-    use deepsd_features::{FeatureConfig, FeatureExtractor, FeedKind};
+    use deepsd_features::{Batch, FeatureConfig, FeatureExtractor, FeedKind};
     use deepsd_simdata::{SimConfig, SimDataset};
 
     fn setup(seed: u64) -> (SimDataset, FeatureConfig, DeepSD) {
@@ -397,7 +377,7 @@ mod tests {
                 assert!(predictor.observe_all(&stream).is_clean());
             }
             let _ = predictor.predict_all(day - 1, 900);
-            let _ = predictor.predict_area(0, day + 1, 480);
+            let _ = predictor.predict_all(day + 1, 480);
             let _ = predictor.predict_all(day, 600);
             for area in 0..ds.n_areas() as u16 {
                 let stream: Vec<Order> = day_stream(&ds, area, day, 600)
@@ -425,31 +405,19 @@ mod tests {
 
         let fx1 = FeatureExtractor::new(&ds, fcfg.clone());
         let mut empty_stream = OnlinePredictor::new(model.clone(), fx1);
-        let p_empty = empty_stream.predict_area(area, day, 540);
+        let p_empty = empty_stream.predict_all(day, 540)[area as usize];
 
         let fx2 = FeatureExtractor::new(&ds, fcfg);
         let mut fed = OnlinePredictor::new(model, fx2);
         let stream = day_stream(&ds, area, day, 540);
         assert!(!stream.is_empty());
         assert!(fed.observe_all(&stream).is_clean());
-        let p_fed = fed.predict_area(area, day, 540);
+        let p_fed = fed.predict_all(day, 540)[area as usize];
         assert!(p_empty > 0.0 && p_fed > 0.0, "predictions must not clamp");
         assert_ne!(
             p_empty, p_fed,
             "streamed orders must influence the prediction"
         );
-    }
-
-    #[test]
-    fn predict_area_matches_predict_all() {
-        let (ds, fcfg, model) = setup(123);
-        let fx = FeatureExtractor::new(&ds, fcfg);
-        let mut predictor = OnlinePredictor::new(model, fx);
-        let all = predictor.predict_all(8, 480);
-        for area in 0..ds.n_areas() as u16 {
-            let one = predictor.predict_area(area, 8, 480);
-            assert!((one - all[area as usize]).abs() < 1e-6);
-        }
     }
 
     #[test]

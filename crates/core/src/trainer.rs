@@ -18,24 +18,17 @@ pub const EPOCH_BLOCK_ITEMS: usize = 256;
 /// `8 × 256 = 2048` items, a few MB at `L = 8`.
 pub const SHUFFLE_WINDOW_BLOCKS: usize = 8;
 
-/// Loss function minimised during training.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Loss {
-    /// Mean squared error (pairs with the paper's RMSE metric).
-    Mse,
-    /// Huber loss — robust to the heavy gap tail.
-    Huber,
-}
+/// Mini-batch size (paper §VI-B: 64). Training minimises the mean
+/// squared error of each batch, which pairs with the paper's RMSE metric.
+pub const BATCH_SIZE: usize = 64;
 
-/// Training options. Defaults follow §VI-B/§VI-C of the paper (Adam,
-/// batch size 64, dropout handled by the model, final model averaged
-/// over the best 10 epochs).
+/// Training options. Defaults follow §VI-B/§VI-C of the paper (Adam on
+/// squared error in mini-batches of [`BATCH_SIZE`], dropout handled by
+/// the model, final model averaged over the best 10 epochs).
 #[derive(Debug, Clone)]
 pub struct TrainOptions {
     /// Number of passes over the training keys.
     pub epochs: usize,
-    /// Mini-batch size (paper: 64).
-    pub batch_size: usize,
     /// Adam learning rate.
     pub learning_rate: f32,
     /// Number of best epochs whose parameters are averaged into the
@@ -47,8 +40,6 @@ pub struct TrainOptions {
     /// Multiplicative learning-rate decay applied after each epoch
     /// (1.0 = constant rate).
     pub lr_decay: f32,
-    /// Loss function.
-    pub loss: Loss,
     /// Shuffling / dropout seed.
     pub seed: u64,
     /// How many times a diverged run (non-finite batch loss or
@@ -76,12 +67,10 @@ impl Default for TrainOptions {
     fn default() -> Self {
         TrainOptions {
             epochs: 12,
-            batch_size: 64,
             learning_rate: 7e-4,
             best_k: 10,
             grad_clip: Some(10.0),
             lr_decay: 0.92,
-            loss: Loss::Mse,
             seed: 99,
             max_divergence_recoveries: 4,
             threads: 0,
@@ -121,14 +110,6 @@ pub struct TrainReport {
 }
 
 impl TrainReport {
-    /// Best (lowest) per-epoch evaluation MAE.
-    pub fn best_epoch_mae(&self) -> f64 {
-        self.epochs
-            .iter()
-            .map(|e| e.eval_mae)
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Mean epoch duration in seconds.
     pub fn mean_epoch_seconds(&self) -> f64 {
         if self.epochs.is_empty() {
@@ -186,10 +167,7 @@ pub fn train_ensemble<X: ItemSource>(
 ) -> (Ensemble, TrainReport) {
     assert!(!train_keys.is_empty(), "no training keys");
     assert!(!eval_items.is_empty(), "no evaluation items");
-    assert!(
-        options.batch_size > 0 && options.epochs > 0,
-        "degenerate options"
-    );
+    assert!(options.epochs > 0, "degenerate options");
 
     deepsd_nn::set_num_threads(options.threads);
 
@@ -275,7 +253,7 @@ pub fn train_ensemble<X: ItemSource>(
                     .map(|&g| extractor.extract(train_keys[g]))
                     .collect()
             };
-            for batch_locals in locals.chunks(options.batch_size) {
+            for batch_locals in locals.chunks(BATCH_SIZE) {
                 let chunk: Vec<&Item> = batch_locals
                     .iter()
                     .map(|&p| {
@@ -294,17 +272,13 @@ pub fn train_ensemble<X: ItemSource>(
                 let shards = ShardPool::num_shards(chunk.len());
                 let seeds: Vec<u64> = (0..shards).map(|_| rng.next_u64()).collect();
                 let model_ref = &*model;
-                let loss_fn = options.loss;
                 let t0 = std::time::Instant::now();
                 let shard_losses = pool.run(chunk.len(), &mut grads, |job| {
                     let batch = Batch::from_refs(&chunk[job.range.clone()]);
                     let targets = Matrix::col_vector(batch.targets.clone());
                     let mut shard_rng = seeded_rng(seeds[job.shard]);
                     let pred = model_ref.forward(job.tape, &batch, Some(&mut shard_rng));
-                    let loss = match loss_fn {
-                        Loss::Mse => job.tape.mse_loss(pred, &targets),
-                        Loss::Huber => job.tape.huber_loss(pred, &targets, 5.0),
-                    };
+                    let loss = job.tape.mse_loss(pred, &targets);
                     // Scale each shard's mean loss by its share of the
                     // batch so the summed shard losses (and therefore
                     // the reduced gradients) equal the whole-batch mean
@@ -345,7 +319,7 @@ pub fn train_ensemble<X: ItemSource>(
 
         if !diverged {
             adam.lr *= options.lr_decay;
-            let eval = evaluate_model(model, eval_items, options.batch_size);
+            let eval = evaluate_model(model, eval_items, BATCH_SIZE);
             if eval.rmse.is_finite() && eval.mae.is_finite() {
                 // Rank snapshots by RMSE: it matches the MSE training
                 // objective and is the metric where tail behaviour shows.
@@ -415,7 +389,7 @@ pub fn train_ensemble<X: ItemSource>(
         // than panicking or returning NaN weights.
         model.restore(&last_good);
         let ensemble = Ensemble::new(vec![model.clone()]);
-        let final_eval = evaluate_model(&ensemble, eval_items, options.batch_size);
+        let final_eval = evaluate_model(&ensemble, eval_items, BATCH_SIZE);
         return (
             ensemble,
             TrainReport {
@@ -442,7 +416,7 @@ pub fn train_ensemble<X: ItemSource>(
     model.restore(&snapshots[0].1);
     let ensemble = Ensemble::new(members);
 
-    let final_eval = evaluate_model(&ensemble, eval_items, options.batch_size);
+    let final_eval = evaluate_model(&ensemble, eval_items, BATCH_SIZE);
     (
         ensemble,
         TrainReport {
@@ -476,13 +450,7 @@ fn approx_item_bytes(item: &Item) -> usize {
 /// Worker-thread count for batch-level parallelism, honouring the global
 /// kernel setting (`deepsd_nn::set_num_threads`; `0` = auto-detect).
 fn worker_threads(jobs: usize) -> usize {
-    let configured = deepsd_nn::num_threads();
-    let t = if configured == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        configured
-    };
-    t.clamp(1, jobs.max(1))
+    deepsd_nn::resolve_threads(deepsd_nn::num_threads()).clamp(1, jobs.max(1))
 }
 
 /// Scores item chunks on worker threads. Slot `i` of the result is the
@@ -839,7 +807,6 @@ mod tests {
             final_rmse: 2.9,
             divergence_recoveries: 0,
         };
-        assert!((report.best_epoch_mae() - 1.5).abs() < 1e-12);
         assert!((report.mean_epoch_seconds() - 2.0).abs() < 1e-12);
     }
 }

@@ -34,7 +34,6 @@ const ENTRY_GROUPS: &[(&str, EntrySpec)] = &[
                 "observe_all",
                 "predict_all",
                 "predict_all_report",
-                "predict_area",
             ],
         ),
     ),

@@ -7,11 +7,11 @@
 //! * [`matrix::Matrix`] — dense row-major `f32` matrices;
 //! * [`tape::Tape`] — define-by-run reverse-mode autodiff over the op set
 //!   DeepSD needs (affine, leaky-ReLU, embedding gather, concat, residual
-//!   add, row softmax, per-sample weighted combination, dropout, losses);
+//!   add, row softmax, per-sample weighted combination, dropout, MSE loss);
 //! * [`layers`] — `Dense`, `Embedding`, `OneHot`, `SoftmaxLayer`;
 //! * [`params::ParamStore`] — shared weight storage enabling snapshot
 //!   averaging, checkpointing and fine-tuning with appended blocks;
-//! * [`optim`] — Adam and SGD;
+//! * [`optim`] — Adam;
 //! * [`gradcheck`] — finite-difference verification used across the test
 //!   suite.
 //!
@@ -64,13 +64,13 @@ pub mod tape;
 pub use init::{seeded_rng, Init};
 pub use kernels::{
     avx2_supported, clear_forced_kernel_path, dispatch_counts, force_kernel_path, kernel_path,
-    matmul_nt_ref, matmul_ref, matmul_tn_ref, num_threads, reset_dispatch_counts, set_num_threads,
-    set_tuning, tuning, with_kernel_path, DispatchCounts, KernelPath, Tuning,
+    matmul_nt_ref, matmul_ref, matmul_tn_ref, num_threads, reset_dispatch_counts, resolve_threads,
+    set_num_threads, set_tuning, tuning, with_kernel_path, DispatchCounts, KernelPath, Tuning,
     UnsupportedKernelPath,
 };
 pub use layers::{Activation, Dense, Embedding, OneHot, SoftmaxLayer};
 pub use matrix::Matrix;
-pub use optim::{Adam, Sgd};
+pub use optim::Adam;
 pub use params::{ParamId, ParamStore, Snapshot};
 pub use shard::{ShardJob, ShardPool, ShardPoolStats, SHARD_ROWS};
 pub use tape::{BackwardScratch, Grad, GradMap, NodeId, Tape};

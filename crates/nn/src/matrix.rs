@@ -68,16 +68,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Creates a `1 x n` row vector.
-    pub fn row_vector(data: Vec<f32>) -> Self {
-        let cols = data.len();
-        Matrix {
-            rows: 1,
-            cols,
-            data,
-        }
-    }
-
     /// Creates a `n x 1` column vector.
     pub fn col_vector(data: Vec<f32>) -> Self {
         let rows = data.len();
@@ -141,11 +131,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning the row-major buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Entry accessor.
     #[inline]
     // deepsd-lint: allow(panic-reach, reason="r,c bounded by the rows*cols invariant of the data buffer")
@@ -176,11 +161,6 @@ impl Matrix {
         debug_assert!(r < self.rows);
         let c = self.cols;
         &mut self.data[r * c..(r + 1) * c]
-    }
-
-    /// Iterator over row slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
     }
 
     /// Matrix transpose (allocates).
@@ -378,18 +358,6 @@ impl Matrix {
             cols: self.cols,
             data: self.data.iter().map(|&v| f(v)).collect(),
         }
-    }
-
-    /// Applies `f` to every entry in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in self.data.iter_mut() {
-            *v = f(*v);
-        }
-    }
-
-    /// Sets every entry to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
     }
 
     /// Horizontally concatenates matrices with equal row counts.

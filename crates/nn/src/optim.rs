@@ -1,7 +1,6 @@
 //! Optimisers.
 //!
-//! The paper trains DeepSD with Adam (§VI-B.3, batch size 64); SGD with
-//! momentum is provided for comparison and for the substrate's own tests.
+//! The paper trains DeepSD with Adam (§VI-B.3, batch size 64).
 //! Optimiser state is indexed by parameter position so it grows naturally
 //! when fine-tuning appends new parameters to the store (§V-C).
 
@@ -64,42 +63,6 @@ fn adam_update_slice(
     {
         step(wi, gi, mi, vi);
     }
-}
-
-/// One momentum-SGD update over a contiguous slice, lane-folded like
-/// [`adam_update_slice`] (shared by the dense and row-sparse paths).
-#[inline]
-fn sgd_momentum_slice(w: &mut [f32], g: &[f32], vel: &mut [f32], lr: f32, momentum: f32) {
-    let step = |w: &mut f32, g: f32, v: &mut f32| {
-        *v = momentum * *v + g;
-        *w -= lr * *v;
-    };
-    let mut wc = w.chunks_exact_mut(LANES);
-    let mut gc = g.chunks_exact(LANES);
-    let mut vc = vel.chunks_exact_mut(LANES);
-    for ((wl, gl), vl) in (&mut wc).zip(&mut gc).zip(&mut vc) {
-        let wl: &mut [f32; LANES] = wl.try_into().expect("chunk is LANES wide");
-        let gl: &[f32; LANES] = gl.try_into().expect("chunk is LANES wide");
-        let vl: &mut [f32; LANES] = vl.try_into().expect("chunk is LANES wide");
-        for ((wi, &gi), vi) in wl.iter_mut().zip(gl).zip(vl.iter_mut()) {
-            step(wi, gi, vi);
-        }
-    }
-    for ((wi, &gi), vi) in wc
-        .into_remainder()
-        .iter_mut()
-        .zip(gc.remainder())
-        .zip(vc.into_remainder().iter_mut())
-    {
-        step(wi, gi, vi);
-    }
-}
-
-/// One plain-SGD update over a contiguous slice (`w += -lr * g`, matching
-/// [`Matrix::axpy`] element arithmetic exactly — and the same lane fold).
-#[inline]
-fn sgd_plain_slice(w: &mut [f32], g: &[f32], lr: f32) {
-    crate::simd::axpy(w, -lr, g);
 }
 
 /// Adaptive Moment Estimation (Kingma & Ba, 2014).
@@ -222,90 +185,6 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum coefficient (0.0 disables momentum).
-    pub momentum: f32,
-    velocity: Vec<Option<Matrix>>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimiser.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one SGD update.
-    ///
-    /// Row-sparse gradients update only the touched rows (and their
-    /// velocity rows), mirroring the lazy scheme documented on
-    /// [`Adam::step`].
-    pub fn step(&mut self, store: &mut ParamStore, grads: &GradMap) {
-        if self.velocity.len() < store.len() {
-            self.velocity.resize_with(store.len(), || None);
-        }
-        for (id, grad) in grads.iter() {
-            let idx = id.index();
-            let value = store.get_mut(id);
-            let (rows, cols) = value.shape();
-            // deepsd-lint: allow(float-eq, reason="exact-identity check selecting the momentum-free SGD kernel; 0.0 is a configured constant")
-            if self.momentum == 0.0 {
-                match grad {
-                    Grad::Dense(g) => sgd_plain_slice(value.as_mut_slice(), g.as_slice(), self.lr),
-                    Grad::RowSparse {
-                        indices,
-                        rows: packed,
-                        ..
-                    } => {
-                        for (i, &r) in indices.iter().enumerate() {
-                            sgd_plain_slice(value.row_mut(r), packed.row(i), self.lr);
-                        }
-                    }
-                }
-                continue;
-            }
-            let vel = self.velocity[idx].get_or_insert_with(|| Matrix::zeros(rows, cols));
-            match grad {
-                Grad::Dense(g) => sgd_momentum_slice(
-                    value.as_mut_slice(),
-                    g.as_slice(),
-                    vel.as_mut_slice(),
-                    self.lr,
-                    self.momentum,
-                ),
-                Grad::RowSparse {
-                    indices,
-                    rows: packed,
-                    ..
-                } => {
-                    for (i, &r) in indices.iter().enumerate() {
-                        sgd_momentum_slice(
-                            value.row_mut(r),
-                            packed.row(i),
-                            vel.row_mut(r),
-                            self.lr,
-                            self.momentum,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Resets velocity state (parity with [`Adam::reset`], used when
-    /// restarting training).
-    pub fn reset(&mut self) {
-        self.velocity.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,32 +210,6 @@ mod tests {
         for _ in 0..500 {
             let (_, grads) = quadratic_grad(&store, id);
             adam.step(&mut store, &grads);
-        }
-        let w = store.get(id).get(0, 0);
-        assert!((w - 3.0).abs() < 0.05, "w = {w}");
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut store = ParamStore::new();
-        let id = store.add("w", Matrix::from_vec(1, 1, vec![10.0]));
-        let mut sgd = Sgd::new(0.1, 0.0);
-        for _ in 0..200 {
-            let (_, grads) = quadratic_grad(&store, id);
-            sgd.step(&mut store, &grads);
-        }
-        let w = store.get(id).get(0, 0);
-        assert!((w - 3.0).abs() < 1e-3, "w = {w}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut store = ParamStore::new();
-        let id = store.add("w", Matrix::from_vec(1, 1, vec![10.0]));
-        let mut sgd = Sgd::new(0.05, 0.9);
-        for _ in 0..300 {
-            let (_, grads) = quadratic_grad(&store, id);
-            sgd.step(&mut store, &grads);
         }
         let w = store.get(id).get(0, 0);
         assert!((w - 3.0).abs() < 0.05, "w = {w}");
@@ -397,23 +250,6 @@ mod tests {
         adam.step(&mut store, &grads);
         adam.reset();
         assert_eq!(adam.steps(), 0);
-    }
-
-    #[test]
-    fn sgd_reset_clears_velocity() {
-        let mut store = ParamStore::new();
-        let id = store.add("w", Matrix::from_vec(1, 1, vec![10.0]));
-        let mut sgd = Sgd::new(0.1, 0.9);
-        let (_, grads) = quadratic_grad(&store, id);
-        sgd.step(&mut store, &grads);
-        let after_first = store.get(id).get(0, 0);
-        sgd.reset();
-        // With zeroed velocity the next step from the same point repeats
-        // the first step's arithmetic exactly.
-        store.get_mut(id).as_mut_slice()[0] = 10.0;
-        let (_, grads) = quadratic_grad(&store, id);
-        sgd.step(&mut store, &grads);
-        assert_eq!(store.get(id).get(0, 0), after_first);
     }
 
     fn build_embedding_model() -> (ParamStore, crate::params::ParamId) {
@@ -482,27 +318,6 @@ mod tests {
             adam_b.step(&mut store_b, &dense);
         }
         assert!(store_a.get(table).max_abs_diff(store_b.get(table)) == 0.0);
-    }
-
-    #[test]
-    fn sparse_sgd_matches_dense_bitwise() {
-        for momentum in [0.0, 0.9] {
-            let (store_a, table) = build_embedding_model();
-            let mut store_b = store_a.clone();
-            let mut store_a = store_a;
-            let mut sgd_a = Sgd::new(0.05, momentum);
-            let mut sgd_b = Sgd::new(0.05, momentum);
-            for _ in 0..4 {
-                let grads = shared_embedding_grads(&store_a, &[0, 1, 2], &[3, 4, 5]);
-                let dense = densify(&shared_embedding_grads(&store_b, &[0, 1, 2], &[3, 4, 5]));
-                sgd_a.step(&mut store_a, &grads);
-                sgd_b.step(&mut store_b, &dense);
-            }
-            assert!(
-                store_a.get(table).max_abs_diff(store_b.get(table)) == 0.0,
-                "momentum {momentum}"
-            );
-        }
     }
 
     #[test]

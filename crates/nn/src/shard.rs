@@ -104,14 +104,10 @@ pub struct ShardPoolStats {
 
 impl ShardPool {
     /// Creates a pool with `workers` threads; `0` selects the machine's
-    /// available parallelism. No threads are spawned until the first
+    /// available parallelism ([`crate::resolve_threads`]). No threads are spawned until the first
     /// batch that can use more than one.
     pub fn new(workers: usize) -> Self {
-        let workers = if workers == 0 {
-            std::thread::available_parallelism().map_or(4, |n| n.get())
-        } else {
-            workers
-        };
+        let workers = crate::kernels::resolve_threads(workers);
         let (done_tx, done_rx) = mpsc::channel();
         ShardPool {
             workers,

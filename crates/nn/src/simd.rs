@@ -2,7 +2,7 @@
 //!
 //! The GEMM microkernels in [`crate::kernels`] cover the matrix
 //! products, but training also spends real time in elementwise sweeps:
-//! gradient accumulation, the Adam/SGD update rules, residual adds,
+//! gradient accumulation, the Adam update rule, residual adds,
 //! activation backward masks. Plain `iter_mut().zip(..)` loops over
 //! `&[f32]` vectorize only when the optimizer feels like it; rewriting
 //! the body over fixed-width `[f32; 8]` lane arrays (via

@@ -12,7 +12,7 @@
 //! * element-wise `add`/`sub` for the block-residual shortcut connections,
 //! * row-wise `softmax` plus `weighted_combine` for the learned weekday
 //!   combining weights of the advanced model (Eq. 1),
-//! * inverted `dropout`, and MSE / MAE / Huber losses.
+//! * inverted `dropout`, and the MSE loss the paper trains on.
 //!
 //! Parameters are leaves tagged with their [`ParamId`]; one parameter may
 //! back several leaves (DeepSD shares the AreaID and WeekID embeddings
@@ -39,8 +39,6 @@ enum Op {
     Add(NodeId, NodeId),
     /// Element-wise `a - b`.
     Sub(NodeId, NodeId),
-    /// Element-wise Hadamard product.
-    Mul(NodeId, NodeId),
     /// `alpha * x`.
     Scale(NodeId, f32),
     /// `max(slope * x, x)`; DeepSD uses slope = 0.001.
@@ -71,14 +69,6 @@ enum Op {
     Dropout { input: NodeId, mask: Matrix },
     /// Mean of `(pred - target)^2`.
     MseLoss { pred: NodeId, target: Matrix },
-    /// Mean of `|pred - target|`.
-    MaeLoss { pred: NodeId, target: Matrix },
-    /// Mean Huber loss with threshold `delta`.
-    HuberLoss {
-        pred: NodeId,
-        target: Matrix,
-        delta: f32,
-    },
     /// Mean of all entries (scalar).
     Mean(NodeId),
     /// Sum of all entries (scalar).
@@ -459,12 +449,6 @@ impl Tape {
         self.push(value, Op::Sub(a, b))
     }
 
-    /// Element-wise product.
-    pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let value = self.value(a).clone().hadamard(self.value(b));
-        self.push(value, Op::Mul(a, b))
-    }
-
     /// Scalar scaling.
     pub fn scale(&mut self, x: NodeId, alpha: f32) -> NodeId {
         let value = self.value(x).scaled(alpha);
@@ -635,57 +619,6 @@ impl Tape {
         )
     }
 
-    /// Scalar mean-absolute-error loss node.
-    pub fn mae_loss(&mut self, pred: NodeId, target: &Matrix) -> NodeId {
-        let p = self.value(pred);
-        assert_eq!(p.shape(), target.shape(), "mae_loss shape mismatch");
-        let n = p.len().max(1) as f32;
-        let loss = p
-            .as_slice()
-            .iter()
-            .zip(target.as_slice().iter())
-            .map(|(a, b)| (a - b).abs())
-            .sum::<f32>()
-            / n;
-        self.push(
-            Matrix::from_vec(1, 1, vec![loss]),
-            Op::MaeLoss {
-                pred,
-                target: target.clone(),
-            },
-        )
-    }
-
-    /// Scalar Huber loss node (quadratic below `delta`, linear above).
-    pub fn huber_loss(&mut self, pred: NodeId, target: &Matrix, delta: f32) -> NodeId {
-        assert!(delta > 0.0, "huber delta must be positive");
-        let p = self.value(pred);
-        assert_eq!(p.shape(), target.shape(), "huber_loss shape mismatch");
-        let n = p.len().max(1) as f32;
-        let loss = p
-            .as_slice()
-            .iter()
-            .zip(target.as_slice().iter())
-            .map(|(a, b)| {
-                let d = (a - b).abs();
-                if d <= delta {
-                    0.5 * d * d
-                } else {
-                    delta * (d - 0.5 * delta)
-                }
-            })
-            .sum::<f32>()
-            / n;
-        self.push(
-            Matrix::from_vec(1, 1, vec![loss]),
-            Op::HuberLoss {
-                pred,
-                target: target.clone(),
-                delta,
-            },
-        )
-    }
-
     /// Mean of all entries as a `1 x 1` node.
     pub fn mean(&mut self, x: NodeId) -> NodeId {
         let value = Matrix::from_vec(1, 1, vec![self.value(x).mean()]);
@@ -788,12 +721,6 @@ impl Tape {
                     let mut neg = grad;
                     neg.scale(-1.0);
                     acc(grads, *b, neg);
-                }
-                Op::Mul(a, b) => {
-                    let da = grad.clone().hadamard(self.value(*b));
-                    let db = grad.hadamard(self.value(*a));
-                    acc(grads, *a, da);
-                    acc(grads, *b, db);
                 }
                 Op::Scale(x, alpha) => {
                     let mut g = grad;
@@ -911,37 +838,6 @@ impl Tape {
                     let n = p.len().max(1) as f32;
                     let mut g = p.clone().sub(target);
                     g.scale(2.0 * scalar / n);
-                    acc(grads, *pred, g);
-                }
-                Op::MaeLoss { pred, target } => {
-                    let scalar = grad.get(0, 0);
-                    let p = self.value(*pred);
-                    let n = p.len().max(1) as f32;
-                    let mut g = p.clone();
-                    crate::simd::zip_fold(g.as_mut_slice(), target.as_slice(), |o, b| {
-                        *o = (*o - b).signum() * scalar / n;
-                    });
-                    acc(grads, *pred, g);
-                }
-                Op::HuberLoss {
-                    pred,
-                    target,
-                    delta,
-                } => {
-                    let scalar = grad.get(0, 0);
-                    let p = self.value(*pred);
-                    let n = p.len().max(1) as f32;
-                    let delta = *delta;
-                    let mut g = p.clone();
-                    crate::simd::zip_fold(g.as_mut_slice(), target.as_slice(), |o, b| {
-                        let d = *o - b;
-                        *o = if d.abs() <= delta {
-                            d
-                        } else {
-                            delta * d.signum()
-                        } * scalar
-                            / n;
-                    });
                     acc(grads, *pred, g);
                 }
                 Op::Mean(x) => {
@@ -1153,37 +1049,6 @@ mod tests {
             .all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-6));
         // Expectation preserved to within sampling noise.
         assert!((out.mean() - 1.0).abs() < 0.15);
-    }
-
-    #[test]
-    fn mae_loss_value_and_gradient_sign() {
-        let mut store = ParamStore::new();
-        let w = store.add("w", Matrix::from_vec(1, 2, vec![3.0, -1.0]));
-        let mut tape = Tape::new();
-        let p = tape.param(&store, w);
-        let loss = tape.mae_loss(p, &Matrix::from_vec(1, 2, vec![1.0, 1.0]));
-        assert!((scalar(&tape, loss) - 2.0).abs() < 1e-5); // (2 + 2) / 2
-        let grads = tape.backward(loss);
-        let g = grads.get(w).unwrap();
-        assert!(g.get(0, 0) > 0.0 && g.get(0, 1) < 0.0);
-    }
-
-    #[test]
-    fn huber_matches_mse_inside_delta() {
-        let mut tape = Tape::new();
-        let p = tape.input(Matrix::from_vec(1, 1, vec![0.5]));
-        let target = Matrix::from_vec(1, 1, vec![0.0]);
-        let h = tape.huber_loss(p, &target, 1.0);
-        assert!((scalar(&tape, h) - 0.125).abs() < 1e-6); // 0.5 * 0.25
-    }
-
-    #[test]
-    fn huber_is_linear_outside_delta() {
-        let mut tape = Tape::new();
-        let p = tape.input(Matrix::from_vec(1, 1, vec![10.0]));
-        let target = Matrix::from_vec(1, 1, vec![0.0]);
-        let h = tape.huber_loss(p, &target, 1.0);
-        assert!((scalar(&tape, h) - 9.5).abs() < 1e-5); // 1 * (10 - 0.5)
     }
 
     #[test]

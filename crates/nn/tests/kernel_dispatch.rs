@@ -1,9 +1,8 @@
 //! Kernel dispatch integration tests: every microkernel path produces
-//! the scalar reference's bits at every thread count, the `DEEPSD_KERNEL`
-//! env override reaches dispatch in a fresh process (it is read once per
-//! process, so the env path needs a respawn, same pattern as
-//! `crates/core/tests/determinism_respawn.rs`), NaN/Inf propagate through
-//! the SIMD paths, and tuning cannot change result bits.
+//! the scalar reference's bits at every thread count, a fresh process's
+//! auto-detected dispatch produces the same bits (same respawn pattern
+//! as `crates/core/tests/determinism_respawn.rs`), NaN/Inf propagate
+//! through the SIMD paths, and tuning cannot change result bits.
 
 use deepsd_nn::{
     kernel_path, matmul_ref, set_num_threads, set_tuning, tuning, with_kernel_path, KernelPath,
@@ -11,7 +10,7 @@ use deepsd_nn::{
 };
 use std::process::Command;
 
-const CHILD_ENV: &str = "DEEPSD_KERNEL_CHILD";
+const CHILD_ENV: &str = "DEEPSD_DISPATCH_CHILD";
 
 fn mat(rows: usize, cols: usize, seed: u32) -> Matrix {
     let mut state = seed.wrapping_mul(2654435761).wrapping_add(1);
@@ -110,36 +109,36 @@ fn tuning_is_bit_invariant_on_every_path() {
     set_tuning(prev);
 }
 
-/// Child mode for the env-override test: prints the resolved dispatch
-/// path and a product checksum under whatever `DEEPSD_KERNEL` the
-/// parent set. No-op without the env gate.
+/// Checksum of the product the child and the parent both compute.
+fn product_checksum() -> String {
+    let a = mat(33, 40, 1);
+    let b = mat(40, 17, 2);
+    let checksum: u64 = a.matmul(&b).as_slice().iter().fold(0u64, |acc, v| {
+        acc.wrapping_mul(31).wrapping_add(v.to_bits() as u64)
+    });
+    format!("{checksum:016x}")
+}
+
+/// Child mode for the fresh-process test: prints the auto-detected
+/// dispatch path and a product checksum. No-op without the env gate.
 #[test]
-fn child_reports_env_dispatch() {
+fn child_reports_dispatch() {
     if std::env::var_os(CHILD_ENV).is_none() {
         return;
     }
-    let a = mat(33, 40, 1);
-    let b = mat(40, 17, 2);
-    let product = a.matmul(&b);
-    let checksum: u64 = product.as_slice().iter().fold(0u64, |acc, v| {
-        acc.wrapping_mul(31).wrapping_add(v.to_bits() as u64)
-    });
     println!("KERNEL_PATH={}", kernel_path());
-    println!("CHECKSUM={checksum:016x}");
+    println!("CHECKSUM={}", product_checksum());
 }
 
-/// Respawns this binary with `DEEPSD_KERNEL` set and returns
+/// Respawns this binary in child mode and returns
 /// `(resolved path, product checksum)`.
-fn spawn_child(kernel_env: Option<&str>) -> (String, String) {
+fn spawn_child() -> (String, String) {
     let exe = std::env::current_exe().expect("test binary path");
-    let mut cmd = Command::new(exe);
-    cmd.args(["--exact", "child_reports_env_dispatch", "--nocapture"])
+    let out = Command::new(exe)
+        .args(["--exact", "child_reports_dispatch", "--nocapture"])
         .env(CHILD_ENV, "1")
-        .env_remove("DEEPSD_KERNEL");
-    if let Some(v) = kernel_env {
-        cmd.env("DEEPSD_KERNEL", v);
-    }
-    let out = cmd.output().expect("respawn test binary");
+        .output()
+        .expect("respawn test binary");
     assert!(
         out.status.success(),
         "child failed:\n{}",
@@ -157,28 +156,18 @@ fn spawn_child(kernel_env: Option<&str>) -> (String, String) {
     (grab("KERNEL_PATH="), grab("CHECKSUM="))
 }
 
-/// `DEEPSD_KERNEL` forces dispatch in a fresh process, every forced
-/// path yields the same checksum (bit identity again, this time across
-/// process boundaries), and a garbage value falls back to
-/// auto-detection instead of aborting.
+/// A fresh process auto-detects a real path, and its product has the
+/// bits this process computes on every supported path (bit identity
+/// again, this time across process boundaries).
 #[test]
-fn env_override_forces_dispatch_in_fresh_process() {
-    let (auto_path, auto_sum) = spawn_child(None);
+fn fresh_process_dispatch_matches_in_process() {
+    let (auto_path, auto_sum) = spawn_child();
     assert!(
-        KernelPath::parse(&auto_path).is_some(),
+        KernelPath::ALL.iter().any(|p| p.as_str() == auto_path),
         "auto-detected path must be a real path, got {auto_path:?}"
     );
     for path in supported_paths() {
-        let (got_path, got_sum) = spawn_child(Some(path.as_str()));
-        assert_eq!(
-            got_path,
-            path.as_str(),
-            "env override did not reach dispatch"
-        );
-        assert_eq!(got_sum, auto_sum, "path {path} changed result bits");
+        let sum = with_kernel_path(path, product_checksum).expect("path supported");
+        assert_eq!(sum, auto_sum, "path {path} changed result bits");
     }
-    // Malformed value: warn-and-ignore, auto-detection wins.
-    let (fallback_path, fallback_sum) = spawn_child(Some("sse9000"));
-    assert_eq!(fallback_path, auto_path);
-    assert_eq!(fallback_sum, auto_sum);
 }

@@ -295,11 +295,6 @@ impl Engine {
         ));
         true
     }
-
-    /// Breaker position after this run (tests and drain reporting).
-    pub fn breaker_state(&self) -> BreakerState {
-        self.breaker.state()
-    }
 }
 
 fn breaker_label(state: BreakerState) -> &'static str {

@@ -20,8 +20,7 @@
 //! * **Micro-batching** — the single engine thread that owns the
 //!   predictor coalesces queued predict requests for the same
 //!   `(day, t)` slot into one `predict_all_report` call, which scores
-//!   all areas through the existing `predict_chunks_masked` /
-//!   `serve_tape` path.
+//!   all areas through the existing `predict_chunks_masked` path.
 //! * **Circuit breaker** — consecutive degraded feed reports trip a
 //!   count-driven breaker: `/readyz` flips to 503 (load balancers stop
 //!   routing) while `/healthz` stays 200 (the process is alive), and

@@ -461,16 +461,6 @@ impl<R: Read + Seek> ChunkReader<R> {
             traffic,
         })
     }
-
-    /// Verifies every area chunk's checksum (a full sequential pass in
-    /// bounded memory). Lets callers fail fast on corrupt containers
-    /// before starting a long training run.
-    pub fn verify_all(&mut self) -> Result<(), CodecError> {
-        for area in 0..self.offsets.len() as u16 {
-            self.read_area(area)?;
-        }
-        Ok(())
-    }
 }
 
 impl<R: Read + Seek> AreaSource for ChunkReader<R> {
@@ -816,7 +806,6 @@ mod tests {
         assert_eq!(r.read_area(last).unwrap_err(), CodecError::ChecksumMismatch);
         // Earlier chunks are untouched and still verify.
         assert!(r.read_area(0).is_ok());
-        assert_eq!(r.verify_all().unwrap_err(), CodecError::ChecksumMismatch);
     }
 
     #[test]
