@@ -212,8 +212,9 @@ mod tests {
     }
 
     /// A random area: busy and quiet days, retry chains of a small
-    /// passenger pool, orders at the very end of the day.
-    fn random_index(rng: &mut Rng, n_days: u16) -> AreaIndex {
+    /// passenger pool, orders at the very end of the day. Sorted by
+    /// `(day, ts)`.
+    fn random_orders(rng: &mut Rng, n_days: u16) -> Vec<Order> {
         let mut orders = Vec::new();
         for day in 0..n_days {
             for _ in 0..rng.gen_range(0usize..400) {
@@ -233,7 +234,7 @@ mod tests {
             }
         }
         orders.sort_by_key(|o| (o.day, o.ts));
-        AreaIndex::build(&orders, n_days)
+        orders
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {
@@ -244,7 +245,8 @@ mod tests {
     fn stacks_equal_per_day_reference_bit_for_bit() {
         cases(48, |rng| {
             let n_days = rng.gen_range(1u16..30);
-            let index = random_index(rng, n_days);
+            let orders = random_orders(rng, n_days);
+            let index = AreaIndex::build(&orders, n_days);
             let cfg = FeatureConfig {
                 window_l: rng.gen_range(1usize..25),
                 history_window: rng.gen_range(0usize..6),
@@ -281,6 +283,36 @@ mod tests {
                 ];
                 for (k, (got, want)) in want.iter().enumerate() {
                     assert_eq!(bits(got), bits(want), "stack {k} day {day} t {t} {cfg:?}");
+                }
+                if u32::from(t_next) > MINUTES_PER_DAY {
+                    // Past midnight all three `_next` windows stop at the
+                    // day's end, as `AreaIndex::gap` does: orders in every
+                    // day's first minutes (new passengers, both outcomes)
+                    // move none of them.
+                    let mut early = orders.clone();
+                    for d in 0..n_days {
+                        for ts in 0..t_next - MINUTES_PER_DAY as u16 {
+                            early.push(Order {
+                                day: d,
+                                ts,
+                                pid: 1_000 + u64::from(ts),
+                                loc_start: 0,
+                                loc_dest: 0,
+                                valid: ts % 2 == 0,
+                            });
+                        }
+                    }
+                    early.sort_by_key(|o| (o.day, o.ts));
+                    let early = AreaIndex::build(&early, n_days);
+                    let moved = HistoryStacks::build(&early, &cfg, day, t);
+                    let next = [
+                        (&got.sd_next, &moved.sd_next),
+                        (&got.lc_next, &moved.lc_next),
+                        (&got.wt_next, &moved.wt_next),
+                    ];
+                    for (k, (a, b)) in next.iter().enumerate() {
+                        assert_eq!(bits(a), bits(b), "next stack {k} day {day} t {t} {cfg:?}");
+                    }
                 }
             }
         });

@@ -13,6 +13,7 @@
 //! saturating clamp-and-count arithmetic instead.
 
 use crate::index::AreaIndex;
+use deepsd_simdata::MINUTES_PER_DAY;
 
 /// Real-time supply-demand vector `V_sd^{d,t}` (Definition 5).
 ///
@@ -58,8 +59,8 @@ pub fn v_wt(index: &AreaIndex, day: u16, t: u16, l: usize) -> Vec<f32> {
 /// histories sum several days into one buffer this way.
 ///
 /// A window end past midnight (`t > 1440`, the history at `t + C` for
-/// the day's last slots) reads its minutes `>= 1440` from day `day + 1`'s
-/// row of the minute tables.
+/// the day's last slots) counts only the minutes before midnight, as
+/// [`add_lc`], [`add_wt`] and [`AreaIndex::gap`] do.
 // deepsd-lint: allow(panic-reach, reason="explicit precondition asserts; day/t are validated upstream at admission")
 pub fn add_sd(index: &AreaIndex, day: u16, t: u16, l: usize, out: &mut [f32]) {
     assert!(
@@ -68,6 +69,9 @@ pub fn add_sd(index: &AreaIndex, day: u16, t: u16, l: usize, out: &mut [f32]) {
     );
     for ell in 1..=l {
         let minute = t - ell as u16;
+        if u32::from(minute) >= MINUTES_PER_DAY {
+            continue;
+        }
         out[ell - 1] += index.valid_at(day, minute) as f32;
         out[l + ell - 1] += index.invalid_at(day, minute) as f32;
     }
