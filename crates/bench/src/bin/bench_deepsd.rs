@@ -26,8 +26,8 @@ use deepsd_features::{
     test_keys, train_keys, Batch, FeatureConfig, ItemSource, StreamingExtractor,
 };
 use deepsd_nn::{
-    matmul_ref, seeded_rng, set_num_threads, with_kernel_path, Adam, Embedding, Grad, GradMap,
-    KernelPath, Matrix, ParamStore,
+    matmul_ref, seeded_rng, with_kernel_path, Adam, Embedding, Grad, GradMap, KernelPath, Matrix,
+    ParamStore,
 };
 use deepsd_simdata::{
     AreaSource, ChunkReader, ChunkWriter, CityConfig, OrderGenConfig, SimConfig, StreamGenerator,
@@ -39,17 +39,16 @@ json_report! {
     /// Kernel throughput in GFLOP/s (2·m·k·n FLOPs per product).
     struct KernelStats {
         nn_gflops: f64,
-        nn_gflops_1thread: f64,
         tn_gflops: f64,
         nt_gflops: f64,
         reference_gflops: f64,
-        /// Blocked single-thread over scalar reference at 256³.
-        speedup_1thread_vs_ref: f64,
-        /// Forced scalar-dispatch blocked kernel (single thread).
+        /// Blocked kernel over scalar reference at 256³.
+        speedup_vs_ref: f64,
+        /// Forced scalar-dispatch blocked kernel.
         scalar_path_gflops: f64,
-        /// Forced lane-fold dispatch (single thread).
+        /// Forced lane-fold dispatch.
         lane_path_gflops: f64,
-        /// Forced AVX2 dispatch (single thread); absent off x86-64/AVX2.
+        /// Forced AVX2 dispatch; absent off x86-64/AVX2.
         avx2_path_gflops: Option<f64>,
     }
 }
@@ -64,12 +63,10 @@ json_report! {
         cpu_features: Vec<String>,
         /// The microkernel path auto-dispatch resolves to on this host.
         kernel_path: String,
-        /// Parallel block height in rows.
+        /// Block height in rows.
         tuned_mc: usize,
         /// Reduction panel length.
         tuned_kc: usize,
-        /// Multiply-add count below which GEMMs stay on the calling thread.
-        tuned_par_flop_threshold: usize,
     }
 }
 
@@ -160,25 +157,21 @@ fn kernel_stats() -> KernelStats {
     let nn_gflops = gflops(flops, REPS, || a.matmul(&b));
     let tn_gflops = gflops(flops, REPS, || at.matmul_tn(&b));
     let nt_gflops = gflops(flops, REPS, || a.matmul_nt(&bt));
-    set_num_threads(1);
-    let nn_gflops_1thread = gflops(flops, REPS, || a.matmul(&b));
-    // Per-path single-thread throughput: force each microkernel in turn
-    // (results are bit-identical; only the instruction mix changes).
+    // Per-path throughput: force each microkernel in turn (results are
+    // bit-identical; only the instruction mix changes).
     let forced =
         |path: KernelPath| with_kernel_path(path, || gflops(flops, REPS, || a.matmul(&b))).ok();
     let scalar_path_gflops = forced(KernelPath::Scalar).unwrap_or(0.0);
     let lane_path_gflops = forced(KernelPath::Lane).unwrap_or(0.0);
     let avx2_path_gflops = forced(KernelPath::Avx2);
-    set_num_threads(0);
     let reference_gflops = gflops(flops, REPS.min(5), || matmul_ref(&a, &b));
 
     KernelStats {
         nn_gflops,
-        nn_gflops_1thread,
         tn_gflops,
         nt_gflops,
         reference_gflops,
-        speedup_1thread_vs_ref: nn_gflops_1thread / reference_gflops,
+        speedup_vs_ref: nn_gflops / reference_gflops,
         scalar_path_gflops,
         lane_path_gflops,
         avx2_path_gflops,
@@ -212,7 +205,6 @@ fn hardware_info() -> HardwareInfo {
         kernel_path: deepsd::kernel_path().as_str().to_string(),
         tuned_mc: t.mc,
         tuned_kc: t.kc,
-        tuned_par_flop_threshold: t.par_flop_threshold,
     }
 }
 
@@ -601,13 +593,12 @@ fn main() {
 
     let hardware = hardware_info();
     eprintln!(
-        "[kernels] dispatch path: {} (cores={}, features=[{}], mc={} kc={} par_threshold={})",
+        "[kernels] dispatch path: {} (cores={}, features=[{}], mc={} kc={})",
         hardware.kernel_path,
         hardware.cores,
         hardware.cpu_features.join(","),
         hardware.tuned_mc,
         hardware.tuned_kc,
-        hardware.tuned_par_flop_threshold,
     );
     deepsd_nn::reset_dispatch_counts();
 
@@ -712,10 +703,6 @@ fn main() {
         format!("{:.2}", output.kernels.nn_gflops),
     );
     report.kv(
-        "matmul nn GFLOP/s (1 thread)",
-        format!("{:.2}", output.kernels.nn_gflops_1thread),
-    );
-    report.kv(
         "matmul tn GFLOP/s",
         format!("{:.2}", output.kernels.tn_gflops),
     );
@@ -728,8 +715,8 @@ fn main() {
         format!("{:.2}", output.kernels.reference_gflops),
     );
     report.kv(
-        "1-thread speedup vs reference",
-        format!("{:.2}x", output.kernels.speedup_1thread_vs_ref),
+        "speedup vs reference",
+        format!("{:.2}x", output.kernels.speedup_vs_ref),
     );
     report.kv("kernel path", output.hardware.kernel_path.clone());
     report.kv(

@@ -32,7 +32,7 @@ pub struct Scale {
     /// 394k-item scale; the smaller default scales overfit less with a
     /// milder rate.
     pub dropout: f32,
-    /// Worker threads for kernels, the training shard pool and batch
+    /// Worker threads for the training shard pool and batch
     /// prediction (`0` = auto-detect). Set by the `--threads` CLI flag.
     pub threads: usize,
     /// Minimum acceptable 2-worker shard speedup, set by the
@@ -152,7 +152,7 @@ impl Scale {
 
     /// Parses the CLI arguments into a scale: an optional positional
     /// scale name (default `small`) plus an optional `--threads N` flag
-    /// capping worker threads (kernels, shard pool, batch prediction).
+    /// capping worker threads (shard pool, batch prediction).
     ///
     /// Environment overrides for experimentation:
     /// `DEEPSD_EPOCHS`, `DEEPSD_TRAIN_STRIDE`, `DEEPSD_BEST_K`.

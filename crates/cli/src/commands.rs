@@ -85,8 +85,8 @@ area instead of materialising the dataset; for `train`, `predict` and
 `serve`, `--max-resident-mb` caps both the extractor's
 per-area state and the trainer's item cache (0 = unbounded), trading
 extraction time for flat memory — results are bit-identical at any cap.
-`--threads` sets the worker-thread count for the parallel kernels, the
-training shard pool and batch scoring (0 = auto-detect); results are
+`--threads` sets the worker-thread count for the training shard pool
+and batch scoring (0 = auto-detect); results are
 bit-identical at any thread count. `--metrics-out` writes a telemetry
 JSON snapshot (counters, gauges, latency histograms, per-epoch training
 events) next to the command's normal output. `serve --continual 1` runs

@@ -66,8 +66,8 @@ pub struct ContinualConfig {
     /// Shuffle/dropout seed for fine-tune rounds (mixed with the round
     /// number so every round shuffles differently but reproducibly).
     pub seed: u64,
-    /// Worker threads for fine-tune kernels (`0` = auto). Results are
-    /// bit-identical at any setting.
+    /// Worker threads for the fine-tune shard pool and evaluation
+    /// (`0` = auto). Results are bit-identical at any setting.
     pub threads: usize,
 }
 

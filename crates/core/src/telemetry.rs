@@ -308,10 +308,6 @@ impl Telemetry {
         let t = deepsd_nn::tuning();
         self.set_gauge("time_kernel_tuned_mc", t.mc as f64);
         self.set_gauge("time_kernel_tuned_kc", t.kc as f64);
-        self.set_gauge(
-            "time_kernel_tuned_par_flop_threshold",
-            t.par_flop_threshold as f64,
-        );
     }
 
     /// Full JSON snapshot (counters, gauges, histograms with p50/p99,

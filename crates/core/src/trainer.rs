@@ -46,10 +46,10 @@ pub struct TrainOptions {
     /// evaluation) may roll back to the last good snapshot with a
     /// halved learning rate before training stops early.
     pub max_divergence_recoveries: usize,
-    /// Worker threads for the parallel matmul kernels, the training
-    /// shard pool and batch-level prediction (`0` = auto-detect).
-    /// Results are bit-identical at any setting; this only trades
-    /// latency for CPU.
+    /// Worker threads for the training shard pool and batch-level
+    /// prediction (`0` = auto-detect); each GEMM runs on the thread
+    /// that calls it. Results are bit-identical at any setting; this
+    /// only trades latency for CPU.
     pub threads: usize,
     /// Approximate cap, in MiB, on trainer-resident extracted feature
     /// items (`0` = unbounded). When the whole-epoch item cache would
@@ -448,7 +448,7 @@ fn approx_item_bytes(item: &Item) -> usize {
 }
 
 /// Worker-thread count for batch-level parallelism, honouring the global
-/// kernel setting (`deepsd_nn::set_num_threads`; `0` = auto-detect).
+/// worker setting (`deepsd_nn::set_num_threads`; `0` = auto-detect).
 fn worker_threads(jobs: usize) -> usize {
     deepsd_nn::resolve_threads(deepsd_nn::num_threads()).clamp(1, jobs.max(1))
 }

@@ -25,12 +25,10 @@ use crate::history::HistoryStacks;
 use crate::index::AreaIndex;
 use crate::items::{Item, ItemKey};
 use crate::scaling::{scale_counts, scale_pm25, scale_temperature};
-use crate::vectors::{v_lc, v_sd, v_wt};
+use crate::vectors::{v_lc_wt, v_sd};
 use deepsd_simdata::codec::ReadStats;
 use deepsd_simdata::stream::AreaSource;
-use deepsd_simdata::{
-    SimDataset, SlotTime, TrafficObs, WeatherObs, MINUTES_PER_DAY, MINUTES_PER_DAY_USIZE,
-};
+use deepsd_simdata::{SimDataset, SlotTime, TrafficObs, WeatherObs, MINUTES_PER_DAY};
 use std::collections::VecDeque;
 
 /// The extractor over an in-memory dataset: no residency cap, every
@@ -193,12 +191,10 @@ impl<S: AreaSource> StreamingExtractor<S> {
                     (AreaIndex::build(&block.orders, n_days), block.traffic)
                 }
             };
-            // Rough but deterministic size of the state this extractor
-            // owns: orders (index copy + retry links), per-minute
-            // counters, owned traffic.
-            let approx_bytes = index.len() * 48
-                + usize::from(n_days) * MINUTES_PER_DAY_USIZE * 6
-                + traffic.len() * 8;
+            // Deterministic size of the state this extractor owns: the
+            // index's tables and the owned traffic.
+            let approx_bytes =
+                index.heap_bytes() + traffic.len() * std::mem::size_of::<TrafficObs>();
             self.states[slot] = Some(AreaState {
                 index,
                 traffic,
@@ -337,11 +333,10 @@ fn assemble_item(
 
     let [mut v_sd, mut v_lc, mut v_wt] = match realtime {
         Some(raw) => raw.map(<[f32]>::to_vec),
-        None => [
-            v_sd(index, key.day, key.t, l),
-            v_lc(index, key.day, key.t, l),
-            v_wt(index, key.day, key.t, l),
-        ],
+        None => {
+            let (lc, wt) = v_lc_wt(index, key.day, key.t, l);
+            [v_sd(index, key.day, key.t, l), lc, wt]
+        }
     };
     let mut h = HistoryStacks::build(index, cfg, key.day, key.t);
     for v in [&mut v_sd, &mut v_lc, &mut v_wt] {

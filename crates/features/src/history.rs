@@ -9,13 +9,15 @@
 //! [`HistoryStacks::build`] computes an item's six stacks (each kind at
 //! `t` and at `t + C`) on demand, straight from the area's order index:
 //! one walk over the past days adds each day's counts into the output
-//! buffers, and nothing is cached between items. Counts are small
-//! integers, so the `f32` sums are exact in any order and the averages
-//! are bit-identical to averaging per-day vectors.
+//! buffers, and nothing is cached between items. Each past day's orders
+//! in `[t - L, t + C)` are cut once and counted into the last-call and
+//! waiting-time vectors of both windows. Counts are small integers, so
+//! the `f32` sums are exact in any order and the averages are
+//! bit-identical to averaging per-day vectors.
 
 use crate::config::FeatureConfig;
 use crate::index::AreaIndex;
-use crate::vectors::{add_lc, add_sd, add_wt};
+use crate::vectors::{add_lc_wt, add_sd, LcWt};
 
 /// The six stacked 7-weekday histories of one item,
 /// `[H^(Mon) | H^(Tue) | … | H^(Sun)]`, each part `2L`-dimensional.
@@ -65,10 +67,23 @@ impl HistoryStacks {
             let m = m as u16;
             add_sd(index, m, t, l, &mut h.sd[part.clone()]);
             add_sd(index, m, t_next, l, &mut h.sd_next[part.clone()]);
-            add_lc(index, m, t, l, &mut h.lc[part.clone()]);
-            add_lc(index, m, t_next, l, &mut h.lc_next[part.clone()]);
-            add_wt(index, m, t, l, &mut h.wt[part.clone()]);
-            add_wt(index, m, t_next, l, &mut h.wt_next[part]);
+            add_lc_wt(
+                index,
+                m,
+                l,
+                &mut [
+                    LcWt {
+                        t,
+                        lc: &mut h.lc[part.clone()],
+                        wt: &mut h.wt[part.clone()],
+                    },
+                    LcWt {
+                        t: t_next,
+                        lc: &mut h.lc_next[part.clone()],
+                        wt: &mut h.wt_next[part],
+                    },
+                ],
+            );
             count[w] += 1;
         }
         for (w, &c) in count.iter().enumerate().filter(|(_, &c)| c > 0) {

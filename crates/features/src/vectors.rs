@@ -6,13 +6,13 @@
 //!
 //! Underflow audit: every subtraction below is range-guarded — `t >= L`
 //! is asserted at each entry point (offline extraction runs off the
-//! request path, so the assert is the right failure mode here),
-//! `day_orders_in(day, from, t)` bounds `o.ts ∈ [from, t)` so lags stay
-//! in `1..=L`, and passenger chains walk forward so `last.ts >= o.ts`.
+//! request path, so the assert is the right failure mode here), a
+//! window only counts records with `ts ∈ [t - L, t)` so lags stay in
+//! `1..=L`, and passenger chains walk forward so `last.ts >= o.ts`.
 //! The serving-path twin ([`crate::online`]) cannot assert and uses
 //! saturating clamp-and-count arithmetic instead.
 
-use crate::index::AreaIndex;
+use crate::index::{AreaIndex, OrderRecord};
 use deepsd_simdata::MINUTES_PER_DAY;
 
 /// Real-time supply-demand vector `V_sd^{d,t}` (Definition 5).
@@ -37,9 +37,7 @@ pub fn v_sd(index: &AreaIndex, day: u16, t: u16, l: usize) -> Vec<f32> {
 /// unanswered. A failed last call near `t` is the strongest predictor of
 /// an imminent gap.
 pub fn v_lc(index: &AreaIndex, day: u16, t: u16, l: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; 2 * l];
-    add_lc(index, day, t, l, &mut out);
-    out
+    v_lc_wt(index, day, t, l).0
 }
 
 /// Real-time waiting-time vector `V_wt^{d,t}` (Definition 7).
@@ -50,9 +48,24 @@ pub fn v_lc(index: &AreaIndex, day: u16, t: u16, l: usize) -> Vec<f32> {
 /// counts passengers with wait `w` who got a ride on their last request;
 /// entry `L + w` counts those who did not.
 pub fn v_wt(index: &AreaIndex, day: u16, t: u16, l: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; 2 * l];
-    add_wt(index, day, t, l, &mut out);
-    out
+    v_lc_wt(index, day, t, l).1
+}
+
+/// [`v_lc`] and [`v_wt`] of one window, from one pass over its orders.
+pub fn v_lc_wt(index: &AreaIndex, day: u16, t: u16, l: usize) -> (Vec<f32>, Vec<f32>) {
+    let mut lc = vec![0.0f32; 2 * l];
+    let mut wt = vec![0.0f32; 2 * l];
+    add_lc_wt(
+        index,
+        day,
+        l,
+        &mut [LcWt {
+            t,
+            lc: &mut lc,
+            wt: &mut wt,
+        }],
+    );
+    (lc, wt)
 }
 
 /// Adds the counts of [`v_sd`] into `out` (`2L` entries). The weekday
@@ -60,7 +73,7 @@ pub fn v_wt(index: &AreaIndex, day: u16, t: u16, l: usize) -> Vec<f32> {
 ///
 /// A window end past midnight (`t > 1440`, the history at `t + C` for
 /// the day's last slots) counts only the minutes before midnight, as
-/// [`add_lc`], [`add_wt`] and [`AreaIndex::gap`] do.
+/// [`add_lc_wt`] and [`AreaIndex::gap`] do.
 // deepsd-lint: allow(panic-reach, reason="explicit precondition asserts; day/t are validated upstream at admission")
 pub fn add_sd(index: &AreaIndex, day: u16, t: u16, l: usize, out: &mut [f32]) {
     assert!(
@@ -72,71 +85,99 @@ pub fn add_sd(index: &AreaIndex, day: u16, t: u16, l: usize, out: &mut [f32]) {
         if u32::from(minute) >= MINUTES_PER_DAY {
             continue;
         }
-        out[ell - 1] += index.valid_at(day, minute) as f32;
-        out[l + ell - 1] += index.invalid_at(day, minute) as f32;
+        let [valid, invalid] = index.counts_at(day, minute);
+        out[ell - 1] += valid as f32;
+        out[l + ell - 1] += invalid as f32;
     }
 }
 
-/// Adds the counts of [`v_lc`] into `out` (`2L` entries).
-// deepsd-lint: allow(panic-reach, reason="explicit precondition asserts; day/t are validated upstream at admission")
-pub fn add_lc(index: &AreaIndex, day: u16, t: u16, l: usize, out: &mut [f32]) {
-    assert!(
-        t as usize >= l,
-        "window [t-L, t) crosses midnight: t={t}, L={l}"
-    );
-    let from = t - l as u16;
-    let (window, offset) = index.day_orders_in(day, from, t);
-    for (i, o) in window.iter().enumerate() {
-        let global = offset + i;
-        // `o` is the pid's last call inside the window iff the pid's next
-        // same-day order (if any) is at or after `t`.
-        let is_last = match index.next_of(global) {
-            None => true,
-            Some(n) => index.order(n).ts >= t,
-        };
-        if !is_last {
-            continue;
-        }
-        let ell = (t - o.ts) as usize; // 1..=L
-        let slot = if o.valid { ell - 1 } else { l + ell - 1 };
-        out[slot] += 1.0;
-    }
+/// One look-back window `[t - L, t)` of [`add_lc_wt`] and the `2L`-entry
+/// buffers its [`v_lc`] and [`v_wt`] counts are added into.
+pub struct LcWt<'a> {
+    /// The window's end (exclusive); may pass midnight.
+    pub t: u16,
+    /// Receives the last-call counts.
+    pub lc: &'a mut [f32],
+    /// Receives the waiting-time counts.
+    pub wt: &'a mut [f32],
 }
 
-/// Adds the counts of [`v_wt`] into `out` (`2L` entries).
+/// Adds the counts of [`v_lc`] and [`v_wt`] of every window in
+/// `windows` on `day` into its buffers. The day's orders are cut once,
+/// over the span from the earliest window start to the latest window
+/// end, and each order is counted into every window that holds it: the
+/// weekday histories read the windows at `t` and at `t + C` this way.
+/// A window end past midnight counts only the day's orders, as
+/// [`add_sd`] does.
+///
+/// # Panics
+/// Panics if a window's `t < L`.
 // deepsd-lint: allow(panic-reach, reason="explicit precondition asserts; day/t are validated upstream at admission")
-pub fn add_wt(index: &AreaIndex, day: u16, t: u16, l: usize, out: &mut [f32]) {
-    assert!(
-        t as usize >= l,
-        "window [t-L, t) crosses midnight: t={t}, L={l}"
-    );
-    let from = t - l as u16;
-    let (window, offset) = index.day_orders_in(day, from, t);
-    for (i, o) in window.iter().enumerate() {
-        let global = offset + i;
-        // First call inside the window: no previous same-day order at or
-        // after the window start.
-        let is_first = match index.prev_of(global) {
-            None => true,
-            Some(p) => index.order(p).ts < from,
-        };
-        if !is_first {
-            continue;
-        }
-        // Walk the retry chain to the pid's last call before `t`.
-        let mut last = global;
-        while let Some(n) = index.next_of(last) {
-            if index.order(n).ts >= t {
-                break;
+pub fn add_lc_wt(index: &AreaIndex, day: u16, l: usize, windows: &mut [LcWt<'_>]) {
+    for w in windows.iter() {
+        let t = w.t;
+        assert!(
+            t as usize >= l,
+            "window [t-L, t) crosses midnight: t={t}, L={l}"
+        );
+    }
+    let (Some(start), Some(end)) = (
+        windows.iter().map(|w| w.t - l as u16).min(),
+        windows.iter().map(|w| w.t).max(),
+    ) else {
+        return;
+    };
+    let records = index.records();
+    let day_end = index.day_range(day).end;
+    let mut i = index.first_at(day, start);
+    while i < day_end && records[i].ts < end {
+        let o = records[i];
+        for w in windows.iter_mut() {
+            let from = w.t - l as u16;
+            if o.ts >= from && o.ts < w.t {
+                count_lc(records, o, w.t, l, w.lc);
+                count_wt(records, i, from, w.t, l, w.wt);
             }
-            last = n;
         }
-        let last_order = index.order(last);
-        let wait = (last_order.ts - o.ts) as usize;
-        let w = wait.min(l - 1);
-        let slot = if last_order.valid { w } else { l + w };
-        out[slot] += 1.0;
+        i += 1;
     }
+}
+
+/// Counts order `o` of the window ending at `t` into `lc` if it is its
+/// passenger's last call inside the window: the passenger's next
+/// same-day order (if any) is at or after `t`.
+// deepsd-lint: allow(panic-reach, reason="record links index records this index produced")
+fn count_lc(records: &[OrderRecord], o: OrderRecord, t: u16, l: usize, lc: &mut [f32]) {
+    if o.next().is_some_and(|n| records[n].ts < t) {
+        return;
+    }
+    let ell = (t - o.ts) as usize; // 1..=L
+    let slot = if o.valid { ell - 1 } else { l + ell - 1 };
+    lc[slot] += 1.0;
+}
+
+/// Counts record `i` of the window `[from, t)` into `wt` if it is its
+/// passenger's first call inside the window (no previous same-day order
+/// at or after `from`), with the wait to the passenger's last call
+/// before `t`.
+// deepsd-lint: allow(panic-reach, reason="record links index records this index produced")
+fn count_wt(records: &[OrderRecord], i: usize, from: u16, t: u16, l: usize, wt: &mut [f32]) {
+    let first = records[i];
+    if first.prev().is_some_and(|p| records[p].ts >= from) {
+        return;
+    }
+    // Walk the retry chain to the pid's last call before `t`.
+    let mut last = first;
+    while let Some(n) = last.next() {
+        if records[n].ts >= t {
+            break;
+        }
+        last = records[n];
+    }
+    let wait = (last.ts - first.ts) as usize;
+    let w = wait.min(l - 1);
+    let slot = if last.valid { w } else { l + w };
+    wt[slot] += 1.0;
 }
 
 #[cfg(test)]

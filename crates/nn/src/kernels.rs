@@ -1,22 +1,21 @@
-//! Cache-blocked, register-tiled, deterministically parallel GEMM kernels
-//! with explicit-SIMD microkernels.
+//! Cache-blocked, register-tiled GEMM kernels with explicit-SIMD
+//! microkernels.
 //!
 //! These back the three matrix-product orientations used by backprop
 //! ([`Matrix::matmul`], [`Matrix::matmul_tn`], [`Matrix::matmul_nt`]).
 //! The design goals, in order:
 //!
-//! 1. **Bit-identical results at any thread count and on any microkernel
-//!    path.** Every output cell is accumulated by exactly one
+//! 1. **Bit-identical results on any microkernel path and under any
+//!    blocking.** Every output cell is accumulated by exactly one
 //!    `+= a * b` (an IEEE-754 multiply then an add, each rounded once)
-//!    per reduction index, in strictly increasing reduction order, by
-//!    exactly one thread. Blocking and dispatch only change *which*
-//!    thread computes a cell, in what order cells are visited, and how
-//!    many cells one instruction covers — never the reduction order or
-//!    the per-element arithmetic within a cell — so every path equals
-//!    the scalar reference ([`matmul_ref`] and friends) bit for bit.
-//!    The AVX2 microkernel deliberately uses `mul` + `add` rather than
-//!    a fused multiply-add: FMA rounds once where the scalar reference
-//!    rounds twice, which would break bit identity.
+//!    per reduction index, in strictly increasing reduction order.
+//!    Blocking and dispatch only change in what order cells are visited
+//!    and how many cells one instruction covers — never the reduction
+//!    order or the per-element arithmetic within a cell — so every path
+//!    equals the scalar reference ([`matmul_ref`] and friends) bit for
+//!    bit. The AVX2 microkernel deliberately uses `mul` + `add` rather
+//!    than a fused multiply-add: FMA rounds once where the scalar
+//!    reference rounds twice, which would break bit identity.
 //! 2. **Throughput.** Output rows are processed in `MR x NR` register
 //!    tiles. Three interchangeable microkernels compute a full tile:
 //!    a scalar loop (the portable floor and the dispatch oracle), a
@@ -27,24 +26,18 @@
 //!    `kc`-long panels so the right-hand panel stays in cache; strided
 //!    operands (the left side of `tn`, the right side of `nt`) are
 //!    packed into contiguous panels before the tile loop.
-//! 3. **Fixed-partition parallelism that scales on skinny shapes.**
-//!    Output rows are split into blocks of at most `mc` rows and
-//!    distributed over `std::thread::scope` workers in contiguous runs.
-//!    When the configured `mc` would yield fewer blocks than worker threads,
-//!    the block height shrinks (to a multiple of `MR`) so tall-skinny
-//!    and small-`n` products still use every core: the block *count*,
-//!    not the row count, is what caps parallelism. Blocks never share
-//!    output cells, so no synchronisation is needed and determinism is
-//!    structural.
+//! 3. **No threads.** Every GEMM runs on the calling thread, in blocks
+//!    of at most `mc` output rows. The products DeepSD runs are small
+//!    (an 8-row training shard, a 58-row serving batch), and spawning
+//!    and joining scoped workers cost more than their arithmetic.
+//!    Parallelism lives one level up, where the work is coarse: the
+//!    shard pool ([`crate::ShardPool`]) runs training shards and the
+//!    trainer's chunk workers run evaluation and serving batches.
 //!
-//! The blocking parameters (`mc`, `kc`, the parallel cutover) are
-//! process-global runtime values with fixed defaults. Because blocking
-//! cannot change per-cell arithmetic, any values preserve bit identity;
-//! [`set_tuning`] exists so tests can assert exactly that.
-//!
-//! Thread count is process-global ([`set_num_threads`]; `0` =
-//! auto-detect) so the CLI `--threads` flag reaches every kernel call
-//! without threading a handle through the tape.
+//! The blocking parameters (`mc`, `kc`) are process-global runtime
+//! values with fixed defaults. Because blocking cannot change per-cell
+//! arithmetic, any values preserve bit identity; [`set_tuning`] exists
+//! so tests can assert exactly that.
 
 use crate::matrix::Matrix;
 use std::cell::Cell;
@@ -58,17 +51,11 @@ const NR: usize = 8;
 /// Default reduction-panel length (per-panel right-hand slab is
 /// `kc x n` floats).
 const KC_DEFAULT: usize = 256;
-/// Default output rows per parallel block.
+/// Default output rows per block.
 const MC_DEFAULT: usize = 64;
-/// Default parallel cutover: below this many multiply-adds the
-/// scoped-thread setup costs more than it saves. Has no effect on
-/// results.
-const PAR_FLOP_DEFAULT: usize = 128 * 1024;
 
-static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
 static MC_ROWS: AtomicUsize = AtomicUsize::new(MC_DEFAULT);
 static KC_LEN: AtomicUsize = AtomicUsize::new(KC_DEFAULT);
-static PAR_FLOPS: AtomicUsize = AtomicUsize::new(PAR_FLOP_DEFAULT);
 
 static DISPATCH_SCALAR: AtomicU64 = AtomicU64::new(0);
 static DISPATCH_LANE: AtomicU64 = AtomicU64::new(0);
@@ -80,35 +67,8 @@ static FORCED_PATH: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
     /// Scoped per-thread override used by [`with_kernel_path`]; takes
     /// precedence over the process-global forced path. Resolution
-    /// happens once per GEMM call on the calling thread, so worker
-    /// threads inherit the caller's choice.
+    /// happens once per GEMM call, on the thread that runs it.
     static TL_PATH: Cell<Option<KernelPath>> = const { Cell::new(None) };
-}
-
-/// Sets the worker-thread count used by the parallel kernels.
-///
-/// `0` (the default) auto-detects via `std::thread::available_parallelism`.
-/// Results are bit-identical for every setting; this only trades latency
-/// for CPU. Process-global and safe to call at any time.
-pub fn set_num_threads(n: usize) {
-    NUM_THREADS.store(n, Ordering::Relaxed);
-}
-
-/// Returns the configured worker-thread count (`0` = auto-detect).
-pub fn num_threads() -> usize {
-    NUM_THREADS.load(Ordering::Relaxed)
-}
-
-/// Turns a worker-count setting into a count: `0` selects the machine's
-/// available parallelism (1 when it cannot be read); any other value is
-/// returned as is. The one `0 = auto` rule for the kernels, the shard
-/// pool and the trainer's batch workers.
-pub fn resolve_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -203,9 +163,8 @@ pub fn clear_forced_kernel_path() {
 }
 
 /// Runs `f` with every GEMM issued *from this thread* dispatched to
-/// `path`, then restores the previous override. Worker threads spawned
-/// inside a GEMM inherit the caller's resolved path, so the whole
-/// product runs on `path` even when parallel.
+/// `path`, then restores the previous override. GEMMs run on the
+/// calling thread, so the whole product runs on `path`.
 ///
 /// This is the race-free way for concurrently running tests to compare
 /// paths: unlike [`force_kernel_path`] it touches no process state.
@@ -248,8 +207,8 @@ pub fn kernel_path() -> KernelPath {
 
 /// Cumulative GEMM invocations per microkernel path since process
 /// start (or the last [`reset_dispatch_counts`]). One GEMM call counts
-/// once, however many threads or tiles it fans out to, so the counts
-/// are identical at every worker count.
+/// once, however many blocks or tiles it runs, so the counts are
+/// identical under any blocking.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DispatchCounts {
     /// GEMMs that ran the scalar microkernel.
@@ -303,13 +262,10 @@ fn bump_dispatch(path: KernelPath) {
 /// are clamped to at least `1` when set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tuning {
-    /// Preferred output rows per parallel block (shrinks adaptively when
-    /// fewer blocks than worker threads would result).
+    /// Output rows per block.
     pub mc: usize,
     /// Reduction-panel length.
     pub kc: usize,
-    /// Multiply-add count below which a GEMM runs on the calling thread.
-    pub par_flop_threshold: usize,
 }
 
 impl Default for Tuning {
@@ -317,7 +273,6 @@ impl Default for Tuning {
         Tuning {
             mc: MC_DEFAULT,
             kc: KC_DEFAULT,
-            par_flop_threshold: PAR_FLOP_DEFAULT,
         }
     }
 }
@@ -327,7 +282,6 @@ pub fn tuning() -> Tuning {
     Tuning {
         mc: MC_ROWS.load(Ordering::Relaxed),
         kc: KC_LEN.load(Ordering::Relaxed),
-        par_flop_threshold: PAR_FLOPS.load(Ordering::Relaxed),
     }
 }
 
@@ -338,77 +292,21 @@ pub fn tuning() -> Tuning {
 pub fn set_tuning(t: Tuning) {
     MC_ROWS.store(t.mc.max(1), Ordering::Relaxed);
     KC_LEN.store(t.kc.max(1), Ordering::Relaxed);
-    PAR_FLOPS.store(t.par_flop_threshold, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
-// Parallel block runner
+// Block runner
 // ---------------------------------------------------------------------------
 
-/// Worker threads a GEMM of `flops` multiply-adds wants, before the
-/// block partition is known.
-fn desired_threads(flops: usize, par_flop_threshold: usize) -> usize {
-    if flops < par_flop_threshold {
-        return 1;
+/// Splits `out` (row-major, width `n`) into blocks of at most `mc` rows
+/// and runs `work(first_row, block)` for each, in order, on the calling
+/// thread. Every output cell's reduction happens inside exactly one
+/// `work` call, so the results are independent of the block height.
+fn run_blocks(out: &mut [f32], n: usize, mc: usize, mut work: impl FnMut(usize, &mut [f32])) {
+    let mc = mc.max(1);
+    for (b, block) in out.chunks_mut(mc * n).enumerate() {
+        work(b * mc, block);
     }
-    resolve_threads(num_threads())
-}
-
-/// Block height for `rows` output rows over `threads` workers: the
-/// configured `mc`, shrunk (to a multiple of `MR`, minimum `MR`) whenever it
-/// would produce fewer blocks than workers. This is what lets
-/// tall-skinny products engage every core — parallelism is capped by
-/// the block *count*, so the fix is to cut more blocks, not to demand
-/// more rows.
-fn block_rows(rows: usize, threads: usize, mc: usize) -> usize {
-    if threads <= 1 || rows == 0 {
-        return mc.max(1);
-    }
-    let per_thread = rows.div_ceil(threads);
-    let shrunk = per_thread.div_ceil(MR).max(1) * MR;
-    shrunk.min(mc.max(1))
-}
-
-/// Splits `out` (row-major, width `n`) into blocks of at most
-/// `block_rows` rows and runs `work(first_row, block)` for each,
-/// distributing contiguous runs of blocks over scoped worker threads.
-/// Blocks are disjoint `&mut` slices and every output cell's reduction
-/// happens inside exactly one `work` call, so the computation is
-/// race-free and the results are independent of both the thread count
-/// and the block height.
-fn run_blocks<F>(out: &mut [f32], n: usize, flops: usize, tuning: Tuning, work: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    let rows = out.len() / n.max(1);
-    let desired = desired_threads(flops, tuning.par_flop_threshold);
-    let mc = block_rows(rows, desired, tuning.mc);
-    let blocks: Vec<(usize, &mut [f32])> = out
-        .chunks_mut(mc * n)
-        .enumerate()
-        .map(|(b, chunk)| (b * mc, chunk))
-        .collect();
-    let threads = desired.clamp(1, blocks.len().max(1));
-    if threads <= 1 {
-        for (row0, chunk) in blocks {
-            work(row0, chunk);
-        }
-        return;
-    }
-    let work_ref = &work;
-    std::thread::scope(|scope| {
-        let per_thread = blocks.len().div_ceil(threads);
-        let mut rest = blocks;
-        while !rest.is_empty() {
-            let take = per_thread.min(rest.len());
-            let batch: Vec<_> = rest.drain(..take).collect();
-            scope.spawn(move || {
-                for (row0, chunk) in batch {
-                    work_ref(row0, chunk);
-                }
-            });
-        }
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -628,8 +526,7 @@ pub(crate) fn gemm_nn(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32])
     let path = kernel_path();
     bump_dispatch(path);
     let cfg = tuning();
-    let flops = (out.len() / n).saturating_mul(n).saturating_mul(k);
-    run_blocks(out, n, flops, cfg, |row0, block| {
+    run_blocks(out, n, cfg.mc, |row0, block| {
         let h = block.len() / n;
         let mut k0 = 0;
         while k0 < k {
@@ -651,10 +548,9 @@ pub(crate) fn gemm_tn(a: &[f32], r_dim: usize, m: usize, b: &[f32], n: usize, ou
     let path = kernel_path();
     bump_dispatch(path);
     let cfg = tuning();
-    let flops = m.saturating_mul(n).saturating_mul(r_dim);
-    run_blocks(out, n, flops, cfg, |row0, block| {
+    let mut ap = vec![0.0f32; cfg.mc.min(m) * cfg.kc.min(r_dim)];
+    run_blocks(out, n, cfg.mc, |row0, block| {
         let h = block.len() / n;
-        let mut ap = vec![0.0f32; h * cfg.kc.min(r_dim)];
         let mut r0 = 0;
         while r0 < r_dim {
             let rc = (r_dim - r0).min(cfg.kc);
@@ -680,10 +576,9 @@ pub(crate) fn gemm_nt(a: &[f32], k: usize, b: &[f32], n: usize, out: &mut [f32])
     let path = kernel_path();
     bump_dispatch(path);
     let cfg = tuning();
-    let flops = (out.len() / n).saturating_mul(n).saturating_mul(k);
-    run_blocks(out, n, flops, cfg, |row0, block| {
+    let mut bp = vec![0.0f32; cfg.kc.min(k) * n];
+    run_blocks(out, n, cfg.mc, |row0, block| {
         let h = block.len() / n;
-        let mut bp = vec![0.0f32; cfg.kc.min(k) * n];
         let mut k0 = 0;
         while k0 < k {
             let kc = (k - k0).min(cfg.kc);
@@ -807,6 +702,16 @@ mod tests {
         }
     }
 
+    /// Serializes every test that forces a path or reads the dispatch
+    /// counters. The counters are process-wide, so a GEMM that another
+    /// test forces onto the scalar path at the same time would land in
+    /// the count [`dispatch_counter_tracks_forced_path`] checks.
+    fn path_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     fn available_paths() -> Vec<KernelPath> {
         KernelPath::ALL
             .into_iter()
@@ -816,6 +721,7 @@ mod tests {
 
     #[test]
     fn blocked_nn_matches_reference_bitwise_on_every_path() {
+        let _serial = path_lock();
         for &(m, k, n) in &[
             (1, 1, 1),
             (3, 5, 7),
@@ -835,6 +741,7 @@ mod tests {
 
     #[test]
     fn blocked_tn_matches_reference_bitwise_on_every_path() {
+        let _serial = path_lock();
         for &(r, m, n) in &[(1, 1, 1), (5, 3, 7), (130, 65, 33), (257, 70, 9)] {
             let a = mat(r, m, 3 + m as u32);
             let b = mat(r, n, 4 + n as u32);
@@ -848,6 +755,7 @@ mod tests {
 
     #[test]
     fn blocked_nt_matches_reference_bitwise_on_every_path() {
+        let _serial = path_lock();
         for &(m, k, n) in &[(1, 1, 1), (3, 5, 7), (65, 130, 33), (70, 257, 9)] {
             let a = mat(m, k, 5 + m as u32);
             let b = mat(n, k, 6 + n as u32);
@@ -861,33 +769,33 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_bits() {
+        // The worker-count setting sizes the shard pool and the chunk
+        // workers; a GEMM always runs on its calling thread, so the
+        // setting cannot reach its bits.
+        let _serial = path_lock();
         let a = mat(150, 90, 11);
         let b = mat(90, 70, 12);
-        let prev = num_threads();
-        set_num_threads(1);
-        let c1 = a.matmul(&b);
-        set_num_threads(2);
-        let c2 = a.matmul(&b);
-        set_num_threads(8);
-        let c8 = a.matmul(&b);
-        set_num_threads(prev);
-        assert_bits_eq(&c1, &c2);
-        assert_bits_eq(&c1, &c8);
-        assert_bits_eq(&c1, &matmul_ref(&a, &b));
+        let prev = crate::num_threads();
+        let mut runs = Vec::new();
+        for threads in [1, 2, 8] {
+            crate::set_num_threads(threads);
+            runs.push(a.matmul(&b));
+        }
+        crate::set_num_threads(prev);
+        for c in &runs {
+            assert_bits_eq(c, &matmul_ref(&a, &b));
+        }
     }
 
     #[test]
     fn tuning_does_not_change_bits() {
+        let _serial = path_lock();
         let a = mat(97, 143, 21);
         let b = mat(143, 61, 22);
         let reference = matmul_ref(&a, &b);
         let prev = tuning();
         for (mc, kc) in [(1usize, 1usize), (7, 13), (16, 64), (256, 1024)] {
-            set_tuning(Tuning {
-                mc,
-                kc,
-                par_flop_threshold: 0,
-            });
+            set_tuning(Tuning { mc, kc });
             for path in available_paths() {
                 let got = with_kernel_path(path, || a.matmul(&b)).expect("path supported");
                 assert_bits_eq(&got, &reference);
@@ -897,21 +805,8 @@ mod tests {
     }
 
     #[test]
-    fn block_rows_engages_all_cores_on_tall_skinny() {
-        // 8 threads over 64 rows with mc=64 used to yield one block;
-        // the adaptive height cuts MR-row blocks instead.
-        assert_eq!(block_rows(64, 8, 64), 8);
-        assert_eq!(block_rows(64, 1, 64), 64);
-        // Never below one MR tile, never above the configured mc.
-        assert_eq!(block_rows(6, 8, 64), MR);
-        assert_eq!(block_rows(4096, 2, 64), 64);
-        // Degenerate inputs stay sane.
-        assert_eq!(block_rows(0, 4, 64), 64);
-        assert_eq!(block_rows(10, 4, 0), 1);
-    }
-
-    #[test]
     fn forced_unsupported_path_errors_cleanly() {
+        let _serial = path_lock();
         if avx2_supported() {
             return; // nothing is unsupported on this host
         }
@@ -924,6 +819,7 @@ mod tests {
 
     #[test]
     fn with_kernel_path_scopes_and_restores() {
+        let _serial = path_lock();
         let outer = kernel_path();
         let inner = with_kernel_path(KernelPath::Scalar, kernel_path).expect("scalar always runs");
         assert_eq!(inner, KernelPath::Scalar);
@@ -932,6 +828,7 @@ mod tests {
 
     #[test]
     fn dispatch_counter_tracks_forced_path() {
+        let _serial = path_lock();
         let a = mat(9, 9, 31);
         let b = mat(9, 9, 32);
         let before = dispatch_counts();
@@ -947,6 +844,7 @@ mod tests {
 
     #[test]
     fn nan_propagates_through_matmul() {
+        let _serial = path_lock();
         // The old kernel's `a == 0.0` skip turned 0.0 * NaN into 0.0.
         let mut a = Matrix::zeros(2, 3);
         a.set(0, 1, 1.0); // row 0 mixes a zero with a finite entry

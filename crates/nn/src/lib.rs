@@ -64,13 +64,14 @@ pub mod tape;
 pub use init::{seeded_rng, Init};
 pub use kernels::{
     avx2_supported, clear_forced_kernel_path, dispatch_counts, force_kernel_path, kernel_path,
-    matmul_nt_ref, matmul_ref, matmul_tn_ref, num_threads, reset_dispatch_counts, resolve_threads,
-    set_num_threads, set_tuning, tuning, with_kernel_path, DispatchCounts, KernelPath, Tuning,
-    UnsupportedKernelPath,
+    matmul_nt_ref, matmul_ref, matmul_tn_ref, reset_dispatch_counts, set_tuning, tuning,
+    with_kernel_path, DispatchCounts, KernelPath, Tuning, UnsupportedKernelPath,
 };
 pub use layers::{Activation, Dense, Embedding, OneHot, SoftmaxLayer};
 pub use matrix::Matrix;
 pub use optim::Adam;
 pub use params::{ParamId, ParamStore, Snapshot};
-pub use shard::{ShardJob, ShardPool, ShardPoolStats, SHARD_ROWS};
+pub use shard::{
+    num_threads, resolve_threads, set_num_threads, ShardJob, ShardPool, ShardPoolStats, SHARD_ROWS,
+};
 pub use tape::{BackwardScratch, Grad, GradMap, NodeId, Tape};

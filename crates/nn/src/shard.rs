@@ -9,7 +9,8 @@
 //! calling thread, the summed gradients are bit-identical regardless of
 //! how many workers ran the shards or how the OS scheduled them. This
 //! extends the determinism contract of the matmul kernels (DESIGN.md
-//! §4.2) to whole-batch data parallelism (§4.3).
+//! §4.2), which run on whichever thread calls them, to whole-batch data
+//! parallelism (§4.3).
 //!
 //! Workers are **persistent threads**: spawned lazily on the first
 //! parallel batch, fed one task per batch over a channel, and joined when
@@ -29,8 +30,38 @@
 use crate::tape::{BackwardScratch, GradMap, Tape};
 use std::ops::Range;
 use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
+
+static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+/// Sets the process-wide worker count for batch-level parallelism: the
+/// trainer's shard pool and the chunk workers of evaluation and serving
+/// read it (`0`, the default, selects the machine's available
+/// parallelism). GEMMs never read it; each runs on its calling thread.
+/// Results are bit-identical for every setting; this only trades
+/// latency for CPU. Safe to call at any time.
+pub fn set_num_threads(n: usize) {
+    NUM_THREADS.store(n, Ordering::Relaxed);
+}
+
+/// Returns the configured worker count (`0` = auto-detect).
+pub fn num_threads() -> usize {
+    NUM_THREADS.load(Ordering::Relaxed)
+}
+
+/// Turns a worker-count setting into a count: `0` selects the machine's
+/// available parallelism (1 when it cannot be read); any other value is
+/// returned as is. The one `0 = auto` rule for the shard pool and the
+/// trainer's batch workers.
+pub fn resolve_threads(requested: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        requested
+    }
+}
 
 /// Number of consecutive batch items per shard.
 ///
@@ -107,7 +138,7 @@ impl ShardPool {
     /// available parallelism ([`crate::resolve_threads`]). No threads are spawned until the first
     /// batch that can use more than one.
     pub fn new(workers: usize) -> Self {
-        let workers = crate::kernels::resolve_threads(workers);
+        let workers = resolve_threads(workers);
         let (done_tx, done_rx) = mpsc::channel();
         ShardPool {
             workers,

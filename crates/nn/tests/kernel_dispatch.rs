@@ -1,12 +1,12 @@
 //! Kernel dispatch integration tests: every microkernel path produces
-//! the scalar reference's bits at every thread count, a fresh process's
-//! auto-detected dispatch produces the same bits (same respawn pattern
-//! as `crates/core/tests/determinism_respawn.rs`), NaN/Inf propagate
-//! through the SIMD paths, and tuning cannot change result bits.
+//! the scalar reference's bits, also when several threads run products
+//! at once, a fresh process's auto-detected dispatch produces the same
+//! bits (same respawn pattern as `crates/core/tests/determinism_respawn.rs`),
+//! NaN/Inf propagate through the SIMD paths, and blocking cannot change
+//! result bits.
 
 use deepsd_nn::{
-    kernel_path, matmul_ref, set_num_threads, set_tuning, tuning, with_kernel_path, KernelPath,
-    Matrix, Tuning,
+    kernel_path, matmul_ref, set_tuning, tuning, with_kernel_path, KernelPath, Matrix, Tuning,
 };
 use std::process::Command;
 
@@ -31,34 +31,43 @@ fn supported_paths() -> Vec<KernelPath> {
         .collect()
 }
 
-/// Every supported path, at 1/2/8 threads, over shapes that hit full
-/// tiles, ragged edges, tall-skinny and wide-flat blocks — all must
-/// equal the scalar reference bit for bit.
+/// Every supported path, called from 1, 2 and 8 threads at once, over
+/// shapes that hit full tiles, ragged edges, tall-skinny and wide-flat
+/// blocks — all must equal the scalar reference bit for bit. GEMMs run
+/// on their calling thread, so concurrent callers (the shard pool's
+/// workers, the chunk workers) share no kernel state but the
+/// process-wide blocking parameters.
 #[test]
 fn forced_dispatch_matches_reference_at_all_thread_counts() {
     for &(m, k, n) in &[
         (64usize, 64usize, 64usize), // full tiles only
         (67, 130, 41),               // ragged in every dimension
-        (256, 8, 4),                 // tall-skinny: adaptive block height
+        (256, 8, 4),                 // tall-skinny: several row blocks
         (3, 9, 250),                 // wide-flat
         (1, 1, 1),
         (0, 5, 3), // empty output
     ] {
         let a = mat(m, k, 100 + m as u32);
         let b = mat(k, n, 200 + n as u32);
-        let reference = matmul_ref(&a, &b);
+        let reference = bits(&matmul_ref(&a, &b));
         for threads in [1usize, 2, 8] {
-            set_num_threads(threads);
-            for path in supported_paths() {
-                let got = with_kernel_path(path, || a.matmul(&b)).expect("path supported");
-                assert_eq!(
-                    bits(&got),
-                    bits(&reference),
-                    "{m}x{k}x{n} path {path} threads {threads}"
-                );
-            }
+            std::thread::scope(|scope| {
+                for worker in 0..threads {
+                    let (a, b, reference) = (&a, &b, &reference);
+                    scope.spawn(move || {
+                        for path in supported_paths() {
+                            let got =
+                                with_kernel_path(path, || a.matmul(b)).expect("path supported");
+                            assert_eq!(
+                                &bits(&got),
+                                reference,
+                                "{m}x{k}x{n} path {path} worker {worker} of {threads}"
+                            );
+                        }
+                    });
+                }
+            });
         }
-        set_num_threads(0);
     }
 }
 
@@ -83,24 +92,16 @@ fn nan_and_inf_propagate_through_every_path() {
     }
 }
 
-/// Blocking parameters move throughput only: any (mc, kc, threshold)
-/// combination yields the same bits on every path.
+/// Blocking parameters move throughput only: any (mc, kc) combination
+/// yields the same bits on every path.
 #[test]
 fn tuning_is_bit_invariant_on_every_path() {
     let a = mat(70, 140, 21);
     let b = mat(140, 53, 22);
     let reference = matmul_ref(&a, &b);
     let prev = tuning();
-    for (mc, kc, par) in [
-        (4usize, 8usize, 0usize),
-        (32, 96, 1),
-        (512, 1024, usize::MAX),
-    ] {
-        set_tuning(Tuning {
-            mc,
-            kc,
-            par_flop_threshold: par,
-        });
+    for (mc, kc) in [(4usize, 8usize), (32, 96), (512, 1024)] {
+        set_tuning(Tuning { mc, kc });
         for path in supported_paths() {
             let got = with_kernel_path(path, || a.matmul(&b)).expect("path supported");
             assert_eq!(bits(&got), bits(&reference), "mc={mc} kc={kc} path {path}");

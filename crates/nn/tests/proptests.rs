@@ -23,8 +23,8 @@ fn small_dim(case: &mut Rng) -> usize {
 }
 
 /// Dimensions that exercise every kernel path: empty, single row/col
-/// (degenerate tiles), and sizes past the blocking and parallelism
-/// thresholds with ragged remainders.
+/// (degenerate tiles), and sizes past the register tile with ragged
+/// remainders.
 fn ragged_dim(case: &mut Rng) -> usize {
     match case.below(3) {
         0 => 0,
