@@ -348,9 +348,9 @@ impl DeepSD {
     /// [`DeepSD::predict_masked`] recording onto a caller-owned tape.
     ///
     /// The tape is reset, not replaced, so its node storage and pooled
-    /// gather buffers survive between calls — a serving loop that keeps
-    /// one tape per worker performs no per-request tape allocations in
-    /// steady state.
+    /// gather buffers survive between calls. The serving path keeps one
+    /// tape per scoring worker ([`deepsd_nn::ShardPool::run_shares`]),
+    /// so in steady state it allocates no tape per request.
     pub fn predict_masked_with(
         &self,
         tape: &mut Tape,

@@ -22,22 +22,28 @@
 //!   together with the [`FeedStatus`] and cumulative [`IngestStats`] so
 //!   operators can see degraded serving instead of silently trusting it.
 //!
+//! A slot is scored on every core. Each area's item and forward row
+//! depend on that area alone, so after a short sequential phase (the
+//! windows' raw vectors, every area made resident) the areas split into
+//! contiguous shares: the calling thread assembles and scores the first
+//! share, the predictor's persistent workers (a
+//! [`ShardPool`] sized by
+//! [`set_num_threads`](crate::set_num_threads), spawned by the first
+//! predict) the others, each on its own tape and reused item and batch
+//! buffers.
+//!
 //! Predictions from the online path are bit-identical to offline batch
-//! extraction when fed the same orders (see the tests).
+//! extraction when fed the same orders, at any worker count (see the
+//! tests and `tests/serving_shares.rs`).
 
 use crate::model::{BlockMask, Predictor};
 use crate::telemetry::Telemetry;
 use deepsd_features::{
-    BatchIngestReport, FeedState, FeedStatus, IngestError, IngestPolicy, IngestStats, Item,
-    ItemKey, ItemSource, OnlineWindow,
+    Batch, BatchIngestReport, FeedState, FeedStatus, IngestError, IngestPolicy, IngestStats, Item,
+    ItemKey, ItemSource, OnlineWindow, ResidentAreas,
 };
+use deepsd_nn::{share_range, ShardPool};
 use deepsd_simdata::Order;
-
-/// Areas per scoring batch in [`OnlinePredictor::predict_all_report`].
-/// Batches are scored on the configured worker threads; the network is
-/// row-wise independent, so the concatenated result is bit-identical to
-/// one monolithic batch at any thread count.
-const SERVE_BATCH: usize = 64;
 
 /// Predictions plus the serving-health context they were produced
 /// under.
@@ -68,6 +74,29 @@ pub struct OnlinePredictor<P: Predictor, X: ItemSource> {
     /// Metrics sink for latency histograms and health gauges (`None`
     /// disables telemetry).
     telemetry: Option<Telemetry>,
+    /// Raw real-time vectors `[v_sd, v_lc, v_wt]` per area of the slot
+    /// being predicted.
+    realtime: Vec<[Vec<f32>; 3]>,
+    /// Scoring workers and their buffers, created by the first predict.
+    scoring: Option<Scoring>,
+}
+
+/// The persistent scoring state of an [`OnlinePredictor`]: a shard pool
+/// sized by the process-wide worker setting (`deepsd::set_num_threads`)
+/// and one set of reused buffers per share of the city's areas.
+struct Scoring {
+    pool: ShardPool,
+    shares: Vec<Share>,
+}
+
+/// One share's buffers, kept across predicts so that steady-state
+/// scoring allocates no items or batches: the items of the share's
+/// areas, their batch and their predictions.
+#[derive(Default)]
+struct Share {
+    items: Vec<Item>,
+    batch: Batch,
+    predictions: Vec<f32>,
 }
 
 impl<P: Predictor + Sync, X: ItemSource> OnlinePredictor<P, X> {
@@ -83,9 +112,10 @@ impl<P: Predictor + Sync, X: ItemSource> OnlinePredictor<P, X> {
     /// late, duplicate and unknown-area orders are handled.
     pub fn with_policy(model: P, extractor: X, policy: IngestPolicy) -> Self {
         let cfg = extractor.config().clone();
-        let windows = (0..extractor.n_areas() as u16)
+        let windows: Vec<OnlineWindow> = (0..extractor.n_areas() as u16)
             .map(|area| OnlineWindow::with_policy(area, &cfg, policy))
             .collect();
+        let realtime = vec![Default::default(); windows.len()];
         OnlinePredictor {
             model,
             extractor,
@@ -93,13 +123,16 @@ impl<P: Predictor + Sync, X: ItemSource> OnlinePredictor<P, X> {
             policy,
             stray: IngestStats::default(),
             telemetry: None,
+            realtime,
+            scoring: None,
         }
     }
 
     /// Attaches a metrics sink: every `predict_all_report` observes its
-    /// latency into `time_serving_predict_latency_seconds`, bumps
-    /// `serving_predict_calls_total` and mirrors the report's ingest
-    /// counters and feed-health gauges.
+    /// latency into `time_serving_predict_latency_seconds` and its two
+    /// phases into `time_serving_prepare_seconds` and
+    /// `time_serving_score_seconds`, bumps `serving_predict_calls_total`
+    /// and mirrors the report's ingest counters and feed-health gauges.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = Some(telemetry);
     }
@@ -169,20 +202,6 @@ impl<P: Predictor + Sync, X: ItemSource> OnlinePredictor<P, X> {
         &mut self.extractor
     }
 
-    /// Builds the feature item for one area at `(day, t)` from the
-    /// streamed state, or `None` when `area` is outside the deployment.
-    /// Only observes move a window's clock: a predict ahead of the
-    /// stream reads the orders seen so far and leaves the window as it
-    /// was.
-    fn item(&mut self, area: u16, day: u16, t: u16) -> Option<Item> {
-        let window = self.windows.get_mut(area as usize)?;
-        let (v_sd, v_lc, v_wt) = window.vectors_at(day, t);
-        Some(
-            self.extractor
-                .extract_with_realtime(ItemKey { area, day, t }, &v_sd, &v_lc, &v_wt),
-        )
-    }
-
     /// The block mask for a feed status: a block is skipped only when
     /// its feed is fully down (stale feeds still serve last-known
     /// values through the features).
@@ -196,28 +215,75 @@ impl<P: Predictor + Sync, X: ItemSource> OnlinePredictor<P, X> {
     /// Predicts the gap of every area for the window `[t, t + C)` of
     /// `day` and reports the feed status and ingest counters the
     /// predictions were made under.
+    ///
+    /// Two phases. The sequential one reads every window's raw
+    /// real-time vectors and makes every area resident; both need
+    /// `&mut`. The scoring one splits the areas into contiguous shares,
+    /// one per worker: each share assembles its items and runs the
+    /// forward pass, the calling thread scoring share 0 itself and
+    /// persistent workers the rest. Predictions are concatenated in area
+    /// order; the network is row-wise independent, so they are
+    /// bit-identical at any worker count. When the extractor cannot hold
+    /// every area at once, the sequential phase assembles every item
+    /// itself and the shares only run the forward pass.
     pub fn predict_all_report(&mut self, day: u16, t: u16) -> ServingReport {
         let started = std::time::Instant::now();
-        let n = self.windows.len() as u16;
-        let items: Vec<Item> = (0..n).filter_map(|area| self.item(area, day, t)).collect();
+        for (window, raw) in self.windows.iter_mut().zip(&mut self.realtime) {
+            let (v_sd, v_lc, v_wt) = window.vectors_at(day, t);
+            *raw = [v_sd, v_lc, v_wt];
+        }
         let feeds = self.extractor.feed_status(day, t);
         let mask = Self::mask_for(&feeds);
-        // Item construction above is sequential (it borrows the
-        // extractor mutably, which may load evicted areas); scoring is
-        // the hot part and fans out over the worker threads.
-        let chunks: Vec<&[Item]> = items.chunks(SERVE_BATCH).collect();
-        let predictions =
-            crate::trainer::predict_chunks_masked(&self.model, &chunks, &mask).concat();
+        let scoring = self.scoring.get_or_insert_with(|| Scoring {
+            pool: ShardPool::new(deepsd_nn::num_threads()),
+            shares: Vec::new(),
+        });
+        let n_areas = self.windows.len();
+        let n_shares = scoring.pool.num_shares(n_areas);
+        scoring.shares.resize_with(n_shares, Share::default);
+        let slot = (day, t);
+        let (prepared, predictions) = match self.extractor.resident_view() {
+            Some(view) => {
+                let prepared = started.elapsed();
+                let view = Some(&view);
+                let predictions = scoring.score(&self.model, &self.realtime, slot, view, &mask);
+                (prepared, predictions)
+            }
+            None => {
+                for (share, buf) in scoring.shares.iter_mut().enumerate() {
+                    let areas = share_range(share, n_shares, n_areas);
+                    buf.items.clear();
+                    for (area, [v_sd, v_lc, v_wt]) in (0u16..)
+                        .zip(&self.realtime)
+                        .skip(areas.start)
+                        .take(areas.len())
+                    {
+                        let key = ItemKey { area, day, t };
+                        let item = self.extractor.extract_with_realtime(key, v_sd, v_lc, v_wt);
+                        buf.items.push(item);
+                    }
+                }
+                let prepared = started.elapsed();
+                let predictions = scoring.score(&self.model, &self.realtime, slot, None, &mask);
+                (prepared, predictions)
+            }
+        };
         let report = ServingReport {
             predictions,
             feeds,
             ingest: self.ingest_stats(),
         };
         if let Some(tel) = &self.telemetry {
+            let elapsed = started.elapsed();
             tel.inc_counter("serving_predict_calls_total");
             tel.observe(
                 "time_serving_predict_latency_seconds",
-                started.elapsed().as_secs_f64(),
+                elapsed.as_secs_f64(),
+            );
+            tel.observe("time_serving_prepare_seconds", prepared.as_secs_f64());
+            tel.observe(
+                "time_serving_score_seconds",
+                elapsed.saturating_sub(prepared).as_secs_f64(),
             );
             tel.record_ingest(&report.ingest);
             tel.record_feeds(&report.feeds);
@@ -243,6 +309,44 @@ impl<P: Predictor + Sync, X: ItemSource> OnlinePredictor<P, X> {
     /// untouched — when the predictor has no swappable parameters.
     pub fn install_snapshot(&mut self, snapshot: &deepsd_nn::Snapshot) -> bool {
         self.model.install_snapshot(snapshot)
+    }
+}
+
+impl Scoring {
+    /// The scoring phase for slot `(day, t)`: each share assembles its
+    /// areas' items from `view` (or, without one, keeps the items the
+    /// sequential phase put in its buffer) and runs the forward pass
+    /// over them; returns the predictions of every area (one per
+    /// `realtime` entry), in area order.
+    fn score<P: Predictor + Sync>(
+        &mut self,
+        model: &P,
+        realtime: &[[Vec<f32>; 3]],
+        (day, t): (u16, u16),
+        view: Option<&ResidentAreas<'_>>,
+        mask: &BlockMask,
+    ) -> Vec<f32> {
+        let n_shares = self.shares.len();
+        self.pool.run_shares(&mut self.shares, |share, tape, buf| {
+            if let Some(view) = view {
+                let areas = share_range(share, n_shares, realtime.len());
+                buf.items.resize_with(areas.len(), Item::default);
+                let raws = (0u16..).zip(realtime).skip(areas.start);
+                for (item, (area, [v_sd, v_lc, v_wt])) in buf.items.iter_mut().zip(raws) {
+                    view.assemble_into(item, ItemKey { area, day, t }, [v_sd, v_lc, v_wt]);
+                }
+            }
+            buf.predictions.clear();
+            if !buf.items.is_empty() {
+                buf.batch.fill_from_items(&buf.items);
+                buf.predictions = model.predict_masked_with(tape, &buf.batch, mask);
+            }
+        });
+        let mut predictions = Vec::with_capacity(realtime.len());
+        for buf in &self.shares {
+            predictions.extend_from_slice(&buf.predictions);
+        }
+        predictions
     }
 }
 

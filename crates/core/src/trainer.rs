@@ -453,27 +453,43 @@ fn worker_threads(jobs: usize) -> usize {
     deepsd_nn::resolve_threads(deepsd_nn::num_threads()).clamp(1, jobs.max(1))
 }
 
-/// Scores item chunks on worker threads. Slot `i` of the result is the
-/// prediction vector for `chunks[i]`: each chunk is scored independently
-/// and lands in its own slot, so the flattened output is identical to
-/// the sequential loop at any thread count. Used by both offline
-/// evaluation and the online serving path.
-pub(crate) fn predict_chunks_masked<P: Predictor + Sync>(
+/// Evaluates a predictor on pre-extracted items, batching for throughput
+/// and scoring batches on the configured worker threads (results are
+/// identical to the sequential path).
+pub fn evaluate_model<P: Predictor + Sync>(
     model: &P,
-    chunks: &[&[Item]],
-    mask: &BlockMask,
-) -> Vec<Vec<f32>> {
+    items: &[Item],
+    batch_size: usize,
+) -> Evaluation {
+    assert!(!items.is_empty(), "evaluation needs items");
+    let preds = predict_items(model, items, batch_size);
+    let truths: Vec<f32> = items.iter().map(|i| i.gap).collect();
+    evaluate(&preds, &truths)
+}
+
+/// Predicts gaps for pre-extracted items in batches of `batch_size`,
+/// scored on the configured worker threads. Each batch is scored
+/// independently and lands in its own slot, so the result is identical
+/// to the sequential loop at any thread count. (A served slot is scored
+/// on its predictor's shard pool instead.)
+pub fn predict_items<P: Predictor + Sync>(
+    model: &P,
+    items: &[Item],
+    batch_size: usize,
+) -> Vec<f32> {
+    let chunks: Vec<&[Item]> = items.chunks(batch_size.max(1)).collect();
+    let mask = BlockMask::all();
     let mut outputs: Vec<Vec<f32>> = vec![Vec::new(); chunks.len()];
     let threads = worker_threads(chunks.len());
     if threads <= 1 {
         let mut tape = Tape::new();
-        for (out, chunk) in outputs.iter_mut().zip(chunks) {
-            *out = model.predict_masked_with(&mut tape, &Batch::from_items(chunk), mask);
+        for (out, chunk) in outputs.iter_mut().zip(&chunks) {
+            *out = model.predict_masked_with(&mut tape, &Batch::from_items(chunk), &mask);
         }
-        return outputs;
+        return outputs.concat();
     }
-    let work: Vec<(&[Item], &mut Vec<f32>)> =
-        chunks.iter().copied().zip(outputs.iter_mut()).collect();
+    let work: Vec<(&[Item], &mut Vec<f32>)> = chunks.into_iter().zip(outputs.iter_mut()).collect();
+    let mask = &mask;
     std::thread::scope(|scope| {
         let per_thread = work.len().div_ceil(threads);
         let mut rest = work;
@@ -489,33 +505,7 @@ pub(crate) fn predict_chunks_masked<P: Predictor + Sync>(
             });
         }
     });
-    outputs
-}
-
-/// Evaluates a predictor on pre-extracted items, batching for throughput
-/// and scoring batches on the configured worker threads (results are
-/// identical to the sequential path).
-pub fn evaluate_model<P: Predictor + Sync>(
-    model: &P,
-    items: &[Item],
-    batch_size: usize,
-) -> Evaluation {
-    assert!(!items.is_empty(), "evaluation needs items");
-    let chunks: Vec<&[Item]> = items.chunks(batch_size.max(1)).collect();
-    let preds = predict_chunks_masked(model, &chunks, &BlockMask::all()).concat();
-    let truths: Vec<f32> = items.iter().map(|i| i.gap).collect();
-    evaluate(&preds, &truths)
-}
-
-/// Predicts gaps for pre-extracted items, batching for throughput and
-/// scoring batches on the configured worker threads.
-pub fn predict_items<P: Predictor + Sync>(
-    model: &P,
-    items: &[Item],
-    batch_size: usize,
-) -> Vec<f32> {
-    let chunks: Vec<&[Item]> = items.chunks(batch_size.max(1)).collect();
-    predict_chunks_masked(model, &chunks, &BlockMask::all()).concat()
+    outputs.concat()
 }
 
 #[cfg(test)]

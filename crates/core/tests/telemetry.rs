@@ -148,6 +148,13 @@ fn serving_histogram_counts_predict_calls() {
     assert!(telemetry
         .histogram_quantile("time_serving_predict_latency_seconds", 0.99)
         .is_some());
+    // Both phases of every predict, wall-clock and so kept out of the
+    // deterministic snapshot.
+    for phase in ["time_serving_prepare_seconds", "time_serving_score_seconds"] {
+        assert_eq!(telemetry.histogram_count(phase), CALLS, "{phase}");
+        assert!(telemetry.to_prometheus().contains(phase), "{phase}");
+        assert!(!telemetry.to_json_without_timings().contains(phase));
+    }
     assert_eq!(telemetry.counter("ingest_accepted_total"), accepted);
     // Healthy feeds: both gauges live, nothing degraded.
     assert_eq!(telemetry.gauge("feed_weather_state"), Some(0.0));

@@ -5,7 +5,7 @@ use crate::items::Item;
 
 /// A flattened mini-batch. All float buffers are row-major with one row
 /// per item; widths are in the field docs (`L` = look-back window).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Batch {
     /// Number of items.
     pub n: usize,
@@ -51,7 +51,18 @@ impl Batch {
     /// # Panics
     /// Panics if `items` is empty or dimensions disagree across items.
     pub fn from_items(items: &[Item]) -> Batch {
-        Self::collect(items.len(), items.iter())
+        let mut b = Batch::default();
+        b.refill(items.len(), items.iter());
+        b
+    }
+
+    /// [`Batch::from_items`] into this batch's buffers, which keep their
+    /// allocations: the serving workers rebuild one batch per slot.
+    ///
+    /// # Panics
+    /// As [`Batch::from_items`].
+    pub fn fill_from_items(&mut self, items: &[Item]) {
+        self.refill(items.len(), items.iter());
     }
 
     /// Flattens a slice of item references into one batch — the
@@ -61,11 +72,13 @@ impl Batch {
     /// # Panics
     /// Panics if `items` is empty or dimensions disagree across items.
     pub fn from_refs(items: &[&Item]) -> Batch {
-        Self::collect(items.len(), items.iter().copied())
+        let mut b = Batch::default();
+        b.refill(items.len(), items.iter().copied());
+        b
     }
 
     // deepsd-lint: allow(panic-reach, reason="callers batch at least one item by construction; an empty batch is programmer error")
-    fn collect<'a>(n: usize, items: impl Iterator<Item = &'a Item> + Clone) -> Batch {
+    fn refill<'a>(&mut self, n: usize, items: impl Iterator<Item = &'a Item> + Clone) {
         assert!(n > 0, "empty batch");
         let first = match items.clone().next() {
             Some(f) => f,
@@ -74,11 +87,33 @@ impl Batch {
         let l = first.weather_types.len();
         let dim = first.v_sd.len();
         let hdim = first.h_sd.len();
-        let mut b = Batch {
-            n,
-            l,
-            ..Batch::default()
-        };
+        let b = self;
+        b.n = n;
+        b.l = l;
+        for v in [
+            &mut b.area_ids,
+            &mut b.time_ids,
+            &mut b.week_ids,
+            &mut b.weather_types,
+        ] {
+            v.clear();
+        }
+        for v in [
+            &mut b.v_sd,
+            &mut b.v_lc,
+            &mut b.v_wt,
+            &mut b.h_sd,
+            &mut b.h_sd_next,
+            &mut b.h_lc,
+            &mut b.h_lc_next,
+            &mut b.h_wt,
+            &mut b.h_wt_next,
+            &mut b.weather_scalars,
+            &mut b.traffic,
+            &mut b.targets,
+        ] {
+            v.clear();
+        }
         for item in items {
             assert_eq!(item.v_sd.len(), dim, "inconsistent item dims");
             assert_eq!(item.h_sd.len(), hdim, "inconsistent history dims");
@@ -99,7 +134,6 @@ impl Batch {
             b.traffic.extend_from_slice(&item.traffic);
             b.targets.push(item.gap);
         }
-        b
     }
 
     /// Width of each real-time vector (`2L`).
@@ -163,6 +197,16 @@ mod tests {
         assert_eq!(b.traffic.len(), 3 * 4 * l);
         assert_eq!(b.targets, vec![1.0, 2.0, 0.0]);
         assert_eq!(b.area_ids, vec![0, 1, 2]);
+    }
+
+    /// A refilled batch drops everything of its previous contents.
+    #[test]
+    fn refilled_batch_equals_a_fresh_one() {
+        let l = 3;
+        let mut b = Batch::from_items(&[item(5, 9.0, l), item(6, 8.0, l), item(7, 7.0, l)]);
+        let items = vec![item(0, 1.0, l), item(1, 2.0, l)];
+        b.fill_from_items(&items);
+        assert_eq!(b, Batch::from_items(&items));
     }
 
     #[test]

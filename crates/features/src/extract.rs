@@ -80,6 +80,53 @@ pub trait ItemSource {
     fn io_stats(&self) -> ReadStats {
         ReadStats::default()
     }
+    /// Lends a read-only view of every area's resident state, so that
+    /// several threads can assemble the items of different areas at
+    /// once; areas are made resident first where no load can evict.
+    /// `None` when some area is not resident (a resident budget smaller
+    /// than the city) or the source keeps no such state; callers then
+    /// assemble items one at a time through
+    /// [`ItemSource::extract_with_realtime`].
+    fn resident_view(&mut self) -> Option<ResidentAreas<'_>> {
+        None
+    }
+}
+
+/// A read-only, `Sync` view of every area's resident extraction state
+/// and the shared environment streams, lent by
+/// [`ItemSource::resident_view`]. Items assembled through it equal
+/// those of [`ItemSource::extract_with_realtime`] bit for bit: both go
+/// through the one item assembly function.
+pub struct ResidentAreas<'a> {
+    config: &'a FeatureConfig,
+    feed_health: &'a FeedHealth,
+    weather: &'a [WeatherObs],
+    /// Order index and traffic stream per area, in area order.
+    areas: Vec<(&'a AreaIndex, &'a [TrafficObs])>,
+}
+
+impl ResidentAreas<'_> {
+    /// Assembles the item of `key` around the given *raw* real-time
+    /// vectors `[v_sd, v_lc, v_wt]` into `out`, reusing its buffers.
+    /// Returns `false`, leaving `out` untouched, when `key.area` is
+    /// outside the view. The vectors must be `2L` wide, as
+    /// [`ItemSource::extract_with_realtime`] asserts.
+    pub fn assemble_into(&self, out: &mut Item, key: ItemKey, realtime: [&[f32]; 3]) -> bool {
+        let Some(&(index, traffic)) = self.areas.get(usize::from(key.area)) else {
+            return false;
+        };
+        assemble_item(
+            out,
+            self.config,
+            self.feed_health,
+            index,
+            self.weather,
+            traffic,
+            key,
+            Some(realtime),
+        );
+        true
+    }
 }
 
 /// Resident per-area extraction state: everything needed to assemble
@@ -232,7 +279,9 @@ impl<S: AreaSource> StreamingExtractor<S> {
             Some((_, traffic)) => traffic,
             None => &state.traffic,
         };
+        let mut item = Item::default();
         assemble_item(
+            &mut item,
             &self.config,
             &self.feed_health,
             &state.index,
@@ -240,7 +289,8 @@ impl<S: AreaSource> StreamingExtractor<S> {
             traffic,
             key,
             realtime,
-        )
+        );
+        item
     }
 }
 
@@ -307,19 +357,55 @@ impl<S: AreaSource> ItemSource for StreamingExtractor<S> {
     fn io_stats(&self) -> ReadStats {
         self.source.read_stats()
     }
+
+    /// Without a resident budget, loads the missing areas in area
+    /// order, as a serial pass over the city would. Under a budget it
+    /// loads nothing, since a load could evict: the view then exists
+    /// once serial passes have made every area resident, which they do
+    /// only when the city fits the budget. Either way the loads are
+    /// those of serial passes, so asking costs no extra I/O.
+    fn resident_view(&mut self) -> Option<ResidentAreas<'_>> {
+        if self.max_resident_bytes == usize::MAX {
+            for area in 0..self.states.len() {
+                if self.states.get(area).is_some_and(Option::is_none) {
+                    self.ensure_area(u16::try_from(area).ok()?);
+                }
+            }
+        }
+        let source = &self.source;
+        let areas = (0u16..)
+            .zip(&self.states)
+            .map(|(area, state)| {
+                let state = state.as_ref()?;
+                let traffic = match source.borrow_area(area) {
+                    Some((_, traffic)) => traffic,
+                    None => state.traffic.as_slice(),
+                };
+                Some((&state.index, traffic))
+            })
+            .collect::<Option<Vec<_>>>()?;
+        Some(ResidentAreas {
+            config: &self.config,
+            feed_health: &self.feed_health,
+            weather: source.weather(),
+            areas,
+        })
+    }
 }
 
 /// Assembles one feature item from per-area state plus the shared
-/// environment streams: the single extraction code path, whatever the
-/// [`AreaSource`].
+/// environment streams into `out`, whose buffers are reused: the single
+/// extraction code path, whatever the [`AreaSource`].
 ///
 /// `weather` is the city-wide stream (`day * 1440 + minute`); `traffic`
 /// is the area's day-major stream, or empty when no traffic data exists
 /// (traffic features then degrade to the same neutral zeros a down feed
 /// yields). `realtime` replaces the index's raw `[v_sd, v_lc, v_wt]`
 /// (the serving path passes its live window's).
+#[allow(clippy::too_many_arguments)]
 // deepsd-lint: allow(panic-reach, reason="weather table is sized n_days*slots by the dataset generator")
 fn assemble_item(
+    out: &mut Item,
     cfg: &FeatureConfig,
     feed_health: &FeedHealth,
     index: &AreaIndex,
@@ -327,24 +413,48 @@ fn assemble_item(
     traffic: &[TrafficObs],
     key: ItemKey,
     realtime: Option<[&[f32]; 3]>,
-) -> Item {
+) {
     let l = cfg.window_l;
     let slots = MINUTES_PER_DAY as usize;
 
-    let [mut v_sd, mut v_lc, mut v_wt] = match realtime {
-        Some(raw) => raw.map(<[f32]>::to_vec),
+    match realtime {
+        Some(raw) => {
+            for (v, r) in [&mut out.v_sd, &mut out.v_lc, &mut out.v_wt]
+                .into_iter()
+                .zip(raw)
+            {
+                v.clear();
+                v.extend_from_slice(r);
+            }
+        }
         None => {
             let (lc, wt) = v_lc_wt(index, key.day, key.t, l);
-            [v_sd(index, key.day, key.t, l), lc, wt]
+            out.v_sd = v_sd(index, key.day, key.t, l);
+            out.v_lc = lc;
+            out.v_wt = wt;
         }
+    }
+    let mut h = HistoryStacks {
+        sd: std::mem::take(&mut out.h_sd),
+        sd_next: std::mem::take(&mut out.h_sd_next),
+        lc: std::mem::take(&mut out.h_lc),
+        lc_next: std::mem::take(&mut out.h_lc_next),
+        wt: std::mem::take(&mut out.h_wt),
+        wt_next: std::mem::take(&mut out.h_wt_next),
     };
-    let mut h = HistoryStacks::build(index, cfg, key.day, key.t);
-    for v in [&mut v_sd, &mut v_lc, &mut v_wt] {
+    h.fill(index, cfg, key.day, key.t);
+    for v in [&mut out.v_sd, &mut out.v_lc, &mut out.v_wt] {
         scale_counts(v);
     }
     for v in h.all_mut() {
         scale_counts(v);
     }
+    out.h_sd = h.sd;
+    out.h_sd_next = h.sd_next;
+    out.h_lc = h.lc;
+    out.h_lc_next = h.lc_next;
+    out.h_wt = h.wt;
+    out.h_wt_next = h.wt_next;
 
     // Environment features over the look-back window, most recent
     // minute first (lag ℓ = 1..=L). Each lookup routes through the
@@ -352,9 +462,15 @@ fn assemble_item(
     // minutes read the last known observation, down minutes yield
     // neutral zeros (the serving layer additionally skips the
     // affected residual block).
-    let mut weather_types = Vec::with_capacity(l);
-    let mut weather_scalars = Vec::with_capacity(2 * l);
-    let mut traffic_out = Vec::with_capacity(4 * l);
+    let weather_types = &mut out.weather_types;
+    let weather_scalars = &mut out.weather_scalars;
+    let traffic_out = &mut out.traffic;
+    weather_types.clear();
+    weather_types.reserve_exact(l);
+    weather_scalars.clear();
+    weather_scalars.reserve_exact(2 * l);
+    traffic_out.clear();
+    traffic_out.reserve_exact(4 * l);
     for ell in 1..=l {
         let minute = key.t - ell as u16;
         let abs = SlotTime::new(key.day, minute).absolute_minute();
@@ -383,24 +499,9 @@ fn assemble_item(
         }
     }
 
-    let gap = index.gap(key.day, key.t, cfg.horizon) as f32;
-    Item {
-        key,
-        weekday: SlotTime::new(key.day, key.t).weekday() as u8,
-        gap,
-        v_sd,
-        v_lc,
-        v_wt,
-        h_sd: h.sd,
-        h_sd_next: h.sd_next,
-        h_lc: h.lc,
-        h_lc_next: h.lc_next,
-        h_wt: h.wt,
-        h_wt_next: h.wt_next,
-        weather_types,
-        weather_scalars,
-        traffic: traffic_out,
-    }
+    out.key = key;
+    out.weekday = SlotTime::new(key.day, key.t).weekday() as u8;
+    out.gap = index.gap(key.day, key.t, cfg.horizon) as f32;
 }
 
 #[cfg(test)]
@@ -703,6 +804,90 @@ mod tests {
         };
         assert_eq!(sx.gap(key), fx.gap(key));
         assert_eq!(sx.feed_status(9, 700), fx.feed_status(9, 700));
+    }
+
+    /// Items assembled through the resident view, into reused buffers,
+    /// equal `extract_with_realtime`'s, over in-memory and lazy sources.
+    #[test]
+    fn resident_view_assembles_the_same_items() {
+        fn assert_sync<T: Sync>(_: &T) {}
+        let config = SimConfig::smoke(47);
+        let ds = SimDataset::generate(&config);
+        let cfg = small_config();
+        let dim = cfg.vector_dim();
+        let raw = |area: u16, k: usize| -> Vec<f32> {
+            (0..dim)
+                .map(|i| ((area as usize + i * k) % 5) as f32)
+                .collect()
+        };
+        let mut reference = FeatureExtractor::new(&ds, cfg.clone());
+        let mut in_memory = FeatureExtractor::new(&ds, cfg.clone());
+        let mut lazy = StreamingExtractor::new(StreamGenerator::new(&config), cfg.clone());
+        let mut item = Item::default();
+        for (day, t) in [(8u16, 480u16), (9, 10), (12, 1439)] {
+            for fx in [
+                &mut in_memory as &mut dyn ItemSource,
+                &mut lazy as &mut dyn ItemSource,
+            ] {
+                let view = fx.resident_view().expect("unbounded source holds the city");
+                assert_sync(&view);
+                for area in 0..ds.n_areas() as u16 {
+                    let key = ItemKey { area, day, t };
+                    let (sd, lc, wt) = (raw(area, 1), raw(area, 2), raw(area, 3));
+                    assert!(view.assemble_into(&mut item, key, [&sd, &lc, &wt]));
+                    assert_eq!(item, reference.extract_with_realtime(key, &sd, &lc, &wt));
+                }
+                let outside = ItemKey {
+                    area: ds.n_areas() as u16,
+                    day,
+                    t,
+                };
+                let before = item.clone();
+                assert!(!view.assemble_into(&mut item, outside, [&[], &[], &[]]));
+                assert_eq!(item, before);
+            }
+        }
+        assert_eq!(lazy.resident_areas(), ds.n_areas());
+    }
+
+    /// A budget smaller than the city lends no view, and asking loads
+    /// nothing: the I/O is that of the serial passes alone. A budget the
+    /// city fits lends one once a serial pass has loaded every area.
+    #[test]
+    fn resident_view_needs_the_whole_city() {
+        let ds = SimDataset::generate(&SimConfig::smoke(48));
+        let n_areas = ds.n_areas();
+        let blob = encode_dataset_v2(&ds).to_vec();
+        let open = || {
+            let reader = ChunkReader::open(Cursor::new(blob.clone())).expect("open");
+            StreamingExtractor::new(reader, small_config()).with_max_resident_mb(1)
+        };
+        let mut tight = open();
+        assert!(tight.resident_view().is_none());
+        assert!(tight.resident_areas() < n_areas);
+        let mut reference = open();
+        let key = |area| ItemKey {
+            area,
+            day: 9,
+            t: 600,
+        };
+        // Ask again between serial passes: I/O stays that of the passes.
+        for _ in 0..2 {
+            assert!(tight.resident_view().is_none());
+            for area in 0..n_areas as u16 {
+                assert_eq!(tight.extract(key(area)), reference.extract(key(area)));
+            }
+        }
+        assert_eq!(tight.io_stats(), reference.io_stats());
+
+        let reader = ChunkReader::open(Cursor::new(blob.clone())).expect("open");
+        let mut roomy = StreamingExtractor::new(reader, small_config()).with_max_resident_mb(1024);
+        assert!(roomy.resident_view().is_none());
+        assert_eq!(roomy.resident_areas(), 0);
+        for area in 0..n_areas as u16 {
+            roomy.extract(key(area));
+        }
+        assert!(roomy.resident_view().is_some());
     }
 
     /// The in-memory extractor builds every area in `new`, on the

@@ -25,7 +25,7 @@ use crate::vectors::{add_lc_wt, add_sd, LcWt};
 /// Weekdays with no prior occurrence before the item's day contribute
 /// zeros; at most `cfg.history_window` most-recent same-weekday days are
 /// averaged.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct HistoryStacks {
     /// Supply-demand history at `t`.
     pub sd: Vec<f32>,
@@ -43,20 +43,25 @@ pub struct HistoryStacks {
 
 impl HistoryStacks {
     /// Builds the unscaled stacks of `(day, t)` for one area.
-    // deepsd-lint: allow(panic-reach, reason="parts are sliced at w*dim with w < 7 from buffers sized 7*dim")
     pub fn build(index: &AreaIndex, cfg: &FeatureConfig, day: u16, t: u16) -> HistoryStacks {
+        let mut h = HistoryStacks::default();
+        h.fill(index, cfg, day, t);
+        h
+    }
+
+    /// [`HistoryStacks::build`] into this value's buffers, which keep
+    /// their allocations: the serving workers refill the same stacks
+    /// for every item they assemble.
+    // deepsd-lint: allow(panic-reach, reason="parts are sliced at w*dim with w < 7 from buffers sized 7*dim")
+    pub fn fill(&mut self, index: &AreaIndex, cfg: &FeatureConfig, day: u16, t: u16) {
         let l = cfg.window_l;
         let dim = cfg.vector_dim();
         let t_next = t + cfg.horizon as u16;
-        let zeros = || vec![0.0f32; 7 * dim];
-        let mut h = HistoryStacks {
-            sd: zeros(),
-            sd_next: zeros(),
-            lc: zeros(),
-            lc_next: zeros(),
-            wt: zeros(),
-            wt_next: zeros(),
-        };
+        for stack in self.all_mut() {
+            stack.clear();
+            stack.resize(7 * dim, 0.0);
+        }
+        let h = self;
         // The `history_window` most recent days of every weekday are the
         // last `7 · history_window` days before `day`.
         let first = usize::from(day).saturating_sub(7 * cfg.history_window);
@@ -94,7 +99,6 @@ impl HistoryStacks {
                 }
             }
         }
-        h
     }
 
     /// All six stacks, for in-place scaling.

@@ -5,7 +5,7 @@ use std::ops::Range;
 
 /// Identifies one prediction instance: predict the gap of area `area` in
 /// `[t, t + C)` on day `day`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct ItemKey {
     /// Area id.
     pub area: u16,
@@ -15,8 +15,9 @@ pub struct ItemKey {
     pub t: u16,
 }
 
-/// One fully extracted training/test instance.
-#[derive(Debug, Clone, PartialEq)]
+/// One fully extracted training/test instance. The default value is
+/// empty, a buffer for reuse by item assembly.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Item {
     /// Which prediction this is.
     pub key: ItemKey,

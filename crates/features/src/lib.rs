@@ -56,7 +56,7 @@ pub mod vectors;
 
 pub use batch::Batch;
 pub use config::FeatureConfig;
-pub use extract::{FeatureExtractor, ItemSource, StreamingExtractor};
+pub use extract::{FeatureExtractor, ItemSource, ResidentAreas, StreamingExtractor};
 pub use feeds::{FeedHealth, FeedKind, FeedState, FeedStatus, DEFAULT_MAX_STALENESS};
 pub use history::HistoryStacks;
 pub use index::AreaIndex;

@@ -32,7 +32,8 @@
 //!    and joining scoped workers cost more than their arithmetic.
 //!    Parallelism lives one level up, where the work is coarse: the
 //!    shard pool ([`crate::ShardPool`]) runs training shards and the
-//!    trainer's chunk workers run evaluation and serving batches.
+//!    area shares of a served slot, and the trainer's chunk workers run
+//!    evaluation batches.
 //!
 //! The blocking parameters (`mc`, `kc`) are process-global runtime
 //! values with fixed defaults. Because blocking cannot change per-cell

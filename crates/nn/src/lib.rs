@@ -72,6 +72,7 @@ pub use matrix::Matrix;
 pub use optim::Adam;
 pub use params::{ParamId, ParamStore, Snapshot};
 pub use shard::{
-    num_threads, resolve_threads, set_num_threads, ShardJob, ShardPool, ShardPoolStats, SHARD_ROWS,
+    num_threads, resolve_threads, set_num_threads, share_range, ShardJob, ShardPool,
+    ShardPoolStats, SHARD_ROWS,
 };
 pub use tape::{BackwardScratch, Grad, GradMap, NodeId, Tape};

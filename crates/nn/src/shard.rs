@@ -26,6 +26,11 @@
 //! per-shard seed supplied by the caller — pre-split from the batch RNG
 //! *before* dispatch — never from shared state, or determinism across
 //! worker counts is lost.
+//!
+//! The same workers run forward-only work: [`ShardPool::run_shares`]
+//! hands each of a few contiguous shares to one thread, the calling
+//! thread taking the first, with no gradients to reduce. A served
+//! predictor scores the areas of a slot this way.
 
 use crate::tape::{BackwardScratch, GradMap, Tape};
 use std::ops::Range;
@@ -37,11 +42,12 @@ use std::thread::JoinHandle;
 static NUM_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the process-wide worker count for batch-level parallelism: the
-/// trainer's shard pool and the chunk workers of evaluation and serving
-/// read it (`0`, the default, selects the machine's available
-/// parallelism). GEMMs never read it; each runs on its calling thread.
-/// Results are bit-identical for every setting; this only trades
-/// latency for CPU. Safe to call at any time.
+/// trainer's shard pool, the chunk workers of evaluation and the share
+/// pool of a served predictor (when it is created) read it (`0`, the
+/// default, selects the machine's available parallelism). GEMMs never
+/// read it; each runs on its calling thread. Results are bit-identical
+/// for every setting; this only trades latency for CPU. Safe to call at
+/// any time.
 pub fn set_num_threads(n: usize) {
     NUM_THREADS.store(n, Ordering::Relaxed);
 }
@@ -94,10 +100,13 @@ struct WorkerState {
     scratch: BackwardScratch,
 }
 
-/// One batch's worth of work for one worker thread. The closure borrows
-/// the caller's batch data; [`ShardPool::run`] blocks until every task of
-/// the batch has completed, which is what keeps the erased lifetime sound.
+/// One call's worth of work for one worker thread. The closure borrows
+/// the caller's data; [`ShardPool::dispatch`] blocks until every task of
+/// the call has completed, which is what keeps the erased lifetime sound.
 type Task = Box<dyn FnOnce(&mut WorkerState) + Send>;
+
+/// A [`Task`] before its borrow's lifetime is erased.
+type ScopedTask<'s> = Box<dyn FnOnce(&mut WorkerState) + Send + 's>;
 
 /// A persistent worker thread plus the channel that feeds it tasks.
 struct Worker {
@@ -156,30 +165,6 @@ impl ShardPool {
         self.stats
     }
 
-    /// Spawns persistent workers until at least `n` exist. Each worker
-    /// owns its autodiff state and loops over tasks until its channel
-    /// closes (pool drop). A panicking task is caught and reported back
-    /// so the caller can re-raise it after the batch barrier.
-    fn ensure_threads(&mut self, n: usize) {
-        while self.threads.len() < n {
-            let (task_tx, task_rx) = mpsc::channel::<Task>();
-            let done_tx = self.done_tx.clone();
-            let handle = std::thread::spawn(move || {
-                let mut state = WorkerState::default();
-                while let Ok(task) = task_rx.recv() {
-                    let result = std::panic::catch_unwind(AssertUnwindSafe(|| task(&mut state)));
-                    if done_tx.send(result).is_err() {
-                        break;
-                    }
-                }
-            });
-            self.threads.push(Worker {
-                sender: task_tx,
-                handle: Some(handle),
-            });
-        }
-    }
-
     /// Configured worker count (before clamping to the shard count).
     pub fn workers(&self) -> usize {
         self.workers
@@ -234,13 +219,12 @@ impl ShardPool {
                 }));
             }
         } else {
-            self.ensure_threads(workers);
             let per_worker = shards.div_ceil(workers);
             let job = &job;
+            let mut tasks: Vec<ScopedTask<'_>> = Vec::with_capacity(workers);
             let mut grads_rest = &mut self.shard_grads[..shards];
             let mut results_rest = &mut results[..];
             let mut start = 0usize;
-            let mut dispatched = 0usize;
             while start < shards {
                 let take = per_worker.min(shards - start);
                 let (grads_chunk, gr) = grads_rest.split_at_mut(take);
@@ -248,58 +232,34 @@ impl ShardPool {
                 let (results_chunk, rr) = results_rest.split_at_mut(take);
                 results_rest = rr;
                 let base = start;
-                let task: Box<dyn FnOnce(&mut WorkerState) + Send + '_> =
-                    Box::new(move |state: &mut WorkerState| {
-                        for (off, (grads, slot)) in grads_chunk
-                            .iter_mut()
-                            .zip(results_chunk.iter_mut())
-                            .enumerate()
-                        {
-                            let shard = base + off;
-                            grads.reset_for_reuse();
-                            state.tape.reset();
-                            *slot = Some(job(ShardJob {
-                                shard,
-                                range: shard_range(shard, n_items),
-                                tape: &mut state.tape,
-                                scratch: &mut state.scratch,
-                                grads,
-                            }));
-                        }
-                    });
-                // SAFETY: the task borrows `job`, `self.shard_grads` and
-                // `results`, all of which outlive this call — the barrier
-                // below does not return until every dispatched task has
-                // reported completion (even a panicking one, which the
-                // worker catches and forwards), so no task can run after
-                // those borrows end.
-                // The one sanctioned `unsafe` in the workspace (the
-                // `[workspace.lints]` table denies it everywhere else).
-                #[allow(unsafe_code)]
-                // deepsd-lint: allow(unsafe-scope, reason="lifetime-only transmute; run_batch joins every dispatched task before the borrow it erases can expire")
-                let task: Task = unsafe {
-                    std::mem::transmute::<
-                        Box<dyn FnOnce(&mut WorkerState) + Send + '_>,
-                        Box<dyn FnOnce(&mut WorkerState) + Send + 'static>,
-                    >(task)
-                };
-                self.threads[dispatched]
-                    .sender
-                    .send(task)
-                    .expect("shard worker alive");
-                dispatched += 1;
+                tasks.push(Box::new(move |state: &mut WorkerState| {
+                    for (off, (grads, slot)) in grads_chunk
+                        .iter_mut()
+                        .zip(results_chunk.iter_mut())
+                        .enumerate()
+                    {
+                        let shard = base + off;
+                        grads.reset_for_reuse();
+                        state.tape.reset();
+                        *slot = Some(job(ShardJob {
+                            shard,
+                            range: shard_range(shard, n_items),
+                            tape: &mut state.tape,
+                            scratch: &mut state.scratch,
+                            grads,
+                        }));
+                    }
+                }));
                 start += take;
             }
-            // Barrier: wait for every task, then re-raise the first panic.
-            let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-            for _ in 0..dispatched {
-                if let Err(p) = self.done_rx.recv().expect("shard worker alive") {
-                    panic.get_or_insert(p);
-                }
-            }
-            if let Some(p) = panic {
-                std::panic::resume_unwind(p);
-            }
+            Self::dispatch(
+                &mut self.threads,
+                &self.done_tx,
+                &self.done_rx,
+                &mut self.serial_state,
+                tasks,
+                |_| {},
+            );
         }
 
         // Deterministic reduction: fold shard maps left-to-right on the
@@ -315,6 +275,165 @@ impl ShardPool {
             .into_iter()
             .map(|r| r.expect("every shard ran"))
             .collect()
+    }
+}
+
+impl ShardPool {
+    /// Number of shares [`ShardPool::run_shares`] splits `n_items`
+    /// items into: one per configured worker, at most one per item, at
+    /// least one.
+    pub fn num_shares(&self, n_items: usize) -> usize {
+        self.workers.min(n_items).max(1)
+    }
+
+    /// Forward-only work, no gradients: runs `job(share, tape, state)`
+    /// once per element of `states`. Share 0 runs on the calling thread
+    /// (on the pool's serial tape), share `s ≥ 1` on persistent worker
+    /// `s - 1` (on that worker's tape), so a share's buffers in `state`
+    /// are always grown by the same thread. Each tape is reset before
+    /// its job. Returns once every share has finished; a panic in any
+    /// share is re-raised after that barrier.
+    ///
+    /// With one share, or one configured worker, everything runs on the
+    /// caller and no thread is spawned. The split into shares is the
+    /// caller's: [`ShardPool::num_shares`] and [`share_range`] give the
+    /// contiguous one that matches the pool.
+    pub fn run_shares<S, F>(&mut self, states: &mut [S], job: F)
+    where
+        S: Send,
+        F: Fn(usize, &mut Tape, &mut S) + Sync,
+    {
+        let job = &job;
+        let Some((first, rest)) = states.split_first_mut() else {
+            return;
+        };
+        let tasks: Vec<ScopedTask<'_>> = (1..)
+            .zip(rest.iter_mut())
+            .map(|(share, state)| -> ScopedTask<'_> {
+                Box::new(move |worker: &mut WorkerState| {
+                    worker.tape.reset();
+                    job(share, &mut worker.tape, state);
+                })
+            })
+            .collect();
+        Self::dispatch(
+            &mut self.threads,
+            &self.done_tx,
+            &self.done_rx,
+            &mut self.serial_state,
+            tasks,
+            |local| {
+                local.tape.reset();
+                job(0, &mut local.tape, first);
+            },
+        );
+    }
+
+    /// Sends task `i` to persistent worker `i` (spawning workers as
+    /// needed), runs `local` on the calling thread's state meanwhile,
+    /// then waits until every sent task has reported back. The first
+    /// panic, `local`'s before any worker's, is re-raised after the
+    /// barrier, so no borrow a task holds can end while it runs.
+    fn dispatch(
+        threads: &mut Vec<Worker>,
+        done_tx: &mpsc::Sender<std::thread::Result<()>>,
+        done_rx: &mpsc::Receiver<std::thread::Result<()>>,
+        local_state: &mut WorkerState,
+        tasks: Vec<ScopedTask<'_>>,
+        local: impl FnOnce(&mut WorkerState),
+    ) {
+        ensure_threads(threads, done_tx, tasks.len());
+        let mut sent = 0usize;
+        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
+        let mut run_here = |task: Task, panic: &mut Option<_>| {
+            if let Err(p) = std::panic::catch_unwind(AssertUnwindSafe(|| task(local_state))) {
+                panic.get_or_insert(p);
+            }
+        };
+        for (i, task) in tasks.into_iter().enumerate() {
+            // SAFETY: the task borrows data that outlives this call — the
+            // barrier below does not return until every sent task has
+            // reported completion (even a panicking one, which the
+            // worker catches and forwards), so no task can run after
+            // those borrows end.
+            // The one sanctioned `unsafe` in the workspace (the
+            // `[workspace.lints]` table denies it everywhere else).
+            #[allow(unsafe_code)]
+            // deepsd-lint: allow(unsafe-scope, reason="lifetime-only transmute; dispatch joins every sent task before the borrow it erases can expire")
+            let task = unsafe { std::mem::transmute::<ScopedTask<'_>, Task>(task) };
+            // A worker that could not be spawned, or is gone, cannot run
+            // its task; the calling thread runs it instead.
+            let task = match threads.get(i) {
+                Some(worker) => match worker.sender.send(task) {
+                    Ok(()) => {
+                        sent += 1;
+                        continue;
+                    }
+                    Err(mpsc::SendError(task)) => task,
+                },
+                None => task,
+            };
+            run_here(task, &mut panic);
+        }
+        if let Err(p) = std::panic::catch_unwind(AssertUnwindSafe(|| local(local_state))) {
+            panic = Some(p);
+        }
+        // Barrier. `recv` cannot fail while the pool holds `done_tx`.
+        for _ in 0..sent {
+            match done_rx.recv() {
+                Ok(Ok(())) => {}
+                Ok(Err(p)) => {
+                    panic.get_or_insert(p);
+                }
+                Err(mpsc::RecvError) => break,
+            }
+        }
+        if let Some(p) = panic {
+            std::panic::resume_unwind(p);
+        }
+    }
+}
+
+/// Half-open range of share `share` when `n_items` items split into
+/// `shares` contiguous shares: in item order, sizes differing by at
+/// most one, earlier shares the larger.
+pub fn share_range(share: usize, shares: usize, n_items: usize) -> Range<usize> {
+    let shares = shares.max(1);
+    let (base, extra) = (n_items / shares, n_items % shares);
+    let start = share * base + share.min(extra);
+    let len = base + usize::from(share < extra);
+    start.min(n_items)..(start + len).min(n_items)
+}
+
+/// Spawns persistent workers until at least `n` exist, or until the OS
+/// refuses a thread (the caller then runs the unplaced tasks itself).
+/// Each worker owns its autodiff state and loops over tasks until its
+/// channel closes (pool drop). A panicking task is caught and reported
+/// back so the caller can re-raise it after the barrier.
+fn ensure_threads(
+    threads: &mut Vec<Worker>,
+    done_tx: &mpsc::Sender<std::thread::Result<()>>,
+    n: usize,
+) {
+    while threads.len() < n {
+        let (task_tx, task_rx) = mpsc::channel::<Task>();
+        let done_tx = done_tx.clone();
+        let spawned = std::thread::Builder::new().spawn(move || {
+            let mut state = WorkerState::default();
+            while let Ok(task) = task_rx.recv() {
+                let result = std::panic::catch_unwind(AssertUnwindSafe(|| task(&mut state)));
+                if done_tx.send(result).is_err() {
+                    break;
+                }
+            }
+        });
+        let Ok(handle) = spawned else {
+            return;
+        };
+        threads.push(Worker {
+            sender: task_tx,
+            handle: Some(handle),
+        });
     }
 }
 
@@ -450,6 +569,70 @@ mod tests {
             job.tape.value(s).get(0, 0)
         });
         assert_eq!(sums, vec![8.0; 4]);
+    }
+
+    #[test]
+    fn share_ranges_split_items_contiguously() {
+        for n in [0usize, 1, 2, 7, 58, 64] {
+            for shares in [1usize, 2, 3, 8] {
+                let mut covered = 0usize;
+                for s in 0..shares {
+                    let r = share_range(s, shares, n);
+                    assert_eq!(r.start, covered, "n = {n}, shares = {shares}");
+                    assert!(r.len() <= n.div_ceil(shares));
+                    covered = r.end;
+                }
+                assert_eq!(covered, n, "n = {n}, shares = {shares}");
+            }
+        }
+    }
+
+    /// The caller runs share 0, each worker one other share, and the
+    /// workers persist: the set of threads is the same on every call.
+    #[test]
+    fn shares_run_on_the_caller_and_persistent_workers() {
+        let caller = std::thread::current().id();
+        let mut pool = ShardPool::new(3);
+        assert_eq!(pool.num_shares(58), 3);
+        assert_eq!(pool.num_shares(2), 2);
+        assert_eq!(ShardPool::new(1).num_shares(58), 1);
+        let mut first = None;
+        for round in 0..4 {
+            let mut states: Vec<(Option<std::thread::ThreadId>, f32)> = vec![(None, 0.0); 3];
+            pool.run_shares(&mut states, |share, tape, state| {
+                assert!(tape.is_empty(), "tapes are reset before each job");
+                let m = Matrix::full(share + 1, 1, 1.0);
+                let xi = tape.input(m);
+                let sum = tape.sum(xi);
+                *state = (Some(std::thread::current().id()), tape.value(sum).get(0, 0));
+            });
+            let sums: Vec<f32> = states.iter().map(|s| s.1).collect();
+            assert_eq!(sums, vec![1.0, 2.0, 3.0], "round {round}");
+            let ids: Vec<_> = states.iter().map(|s| s.0.unwrap()).collect();
+            assert_eq!(ids[0], caller);
+            assert!(ids[1] != caller && ids[2] != caller && ids[1] != ids[2]);
+            assert_eq!(*first.get_or_insert_with(|| ids.clone()), ids);
+        }
+    }
+
+    #[test]
+    fn panicking_share_propagates_and_pool_stays_usable() {
+        let mut pool = ShardPool::new(2);
+        for bad in [0usize, 1] {
+            let mut states = vec![0usize; 2];
+            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.run_shares(&mut states, |share, _, state| {
+                    assert!(share != bad, "injected share failure");
+                    *state = share + 10;
+                });
+            }));
+            assert!(caught.is_err(), "share {bad}'s panic must reach the caller");
+            // The barrier waited for the other share before unwinding.
+            assert_eq!(states[1 - bad], 1 - bad + 10);
+        }
+        let mut states = vec![0usize; 2];
+        pool.run_shares(&mut states, |share, _, state| *state = share + 1);
+        assert_eq!(states, vec![1, 2]);
     }
 
     #[test]

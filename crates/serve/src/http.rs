@@ -9,7 +9,6 @@
 
 use deepsd::telemetry::json_string;
 use std::io::{Read, Write};
-use std::net::TcpStream;
 
 /// Upper bound on the request line + headers.
 const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -231,9 +230,11 @@ impl Response {
     }
 }
 
-/// Writes a complete `Connection: close` response.
-pub fn write_response(stream: &mut TcpStream, resp: &Response) -> Result<(), HttpError> {
-    let mut head = format!(
+/// Writes a complete `Connection: close` response: head and body go
+/// out in one `write_all` from one buffer, so a small reply leaves in
+/// one segment.
+pub fn write_response(stream: &mut impl Write, resp: &Response) -> Result<(), HttpError> {
+    let mut out = format!(
         "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n",
         resp.status,
         resp.reason(),
@@ -241,11 +242,11 @@ pub fn write_response(stream: &mut TcpStream, resp: &Response) -> Result<(), Htt
         resp.body.len()
     );
     if let Some(secs) = resp.retry_after {
-        head.push_str(&format!("retry-after: {secs}\r\n"));
+        out.push_str(&format!("retry-after: {secs}\r\n"));
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes()).map_err(io_error)?;
-    stream.write_all(resp.body.as_bytes()).map_err(io_error)?;
+    out.push_str("\r\n");
+    out.push_str(&resp.body);
+    stream.write_all(out.as_bytes()).map_err(io_error)?;
     stream.flush().map_err(io_error)
 }
 
@@ -295,6 +296,50 @@ mod tests {
                 Err(e) => panic!("unexpected error kind: {e}"),
             }
         });
+    }
+
+    /// Pins the exact bytes of the replies the daemon sends most, and
+    /// that each leaves in a single write.
+    #[test]
+    fn responses_are_written_exactly_in_one_write() {
+        /// Records every `write` call.
+        #[derive(Default)]
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut shed = Response::error(429, "queue full");
+        shed.retry_after = Some(1);
+        let cases = [
+            (
+                Response::json(200, "{\"gaps\":[1.5]}".to_string()),
+                "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 14\r\n\
+                 connection: close\r\n\r\n{\"gaps\":[1.5]}",
+            ),
+            (
+                shed,
+                "HTTP/1.1 429 Too Many Requests\r\ncontent-type: application/json\r\n\
+                 content-length: 22\r\nconnection: close\r\nretry-after: 1\r\n\r\n\
+                 {\"error\":\"queue full\"}",
+            ),
+            (
+                Response::error(400, "bad \"day\""),
+                "HTTP/1.1 400 Bad Request\r\ncontent-type: application/json\r\n\
+                 content-length: 23\r\nconnection: close\r\n\r\n{\"error\":\"bad \\\"day\\\"\"}",
+            ),
+        ];
+        for (resp, want) in cases {
+            let mut out = Writes::default();
+            write_response(&mut out, &resp).expect("in-memory write");
+            assert_eq!(out.0.len(), 1, "status {}", resp.status);
+            assert_eq!(String::from_utf8_lossy(&out.0[0]), want);
+        }
     }
 
     #[test]

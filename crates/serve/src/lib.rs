@@ -20,7 +20,8 @@
 //! * **Micro-batching** — the single engine thread that owns the
 //!   predictor coalesces queued predict requests for the same
 //!   `(day, t)` slot into one `predict_all_report` call, which scores
-//!   all areas through the existing `predict_chunks_masked` path.
+//!   all areas in contiguous shares on the engine thread and the
+//!   predictor's persistent workers.
 //! * **Circuit breaker** — consecutive degraded feed reports trip a
 //!   count-driven breaker: `/readyz` flips to 503 (load balancers stop
 //!   routing) while `/healthz` stays 200 (the process is alive), and
